@@ -143,7 +143,6 @@ class BoundCurve:
 
     s: float
     samples: list[tuple[float, float, float]] = field(repr=False)
-    tolerance: float = 1e-12
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -153,8 +152,7 @@ class BoundCurve:
         return buf.getvalue()
 
 
-def build_bound_curve(s, n_max: float, step: float,
-                      tolerance: float = 1e-12) -> BoundCurve:
+def build_bound_curve(s, n_max: float, step: float) -> BoundCurve:
     sv = _coerce_s(s)
     if step <= 0 or n_max < 0:
         raise ValueError("need step > 0 and n_max >= 0")
@@ -163,7 +161,7 @@ def build_bound_curve(s, n_max: float, step: float,
     for n in grid:
         b, m = pure_bound(float(n), sv)
         samples.append((float(n), b, m))
-    return BoundCurve(s=sv, samples=samples, tolerance=tolerance)
+    return BoundCurve(s=sv, samples=samples)
 
 
 @dataclass(frozen=True)

@@ -26,10 +26,6 @@ def _fmt(x) -> str:
     return f"{x:.17g}"
 
 
-def _default_cutoff() -> int:
-    return int(os.environ.get("QNG_DEFAULT_CUTOFF", "80"))
-
-
 def parse_range(text: str, step: float | None) -> list[float]:
     """Parse 'lo..hi' (needs --step) or a single number."""
     if ".." in text:
@@ -58,14 +54,16 @@ def _write(path: str | None, content: str) -> None:
             fh.write(content)
 
 
-def _family_args(args) -> tuple[StateFamily | None, list[float]]:
+def _family_args(args) -> list[float]:
     spec = {"fock": args.m, "pac": args.alpha, "pss": args.r}[args.family]
     if spec is None:
         raise ValueError(f"family {args.family!r} needs its parameter flag")
     params = parse_range(spec, args.step)
     if args.family == "fock":
+        if not all(p.is_integer() for p in params):
+            raise ValueError(f"Fock number m must be an integer, got {spec!r}")
         params = [float(int(p)) for p in params]
-    return None, params
+    return params
 
 
 def cmd_bound_curve(args) -> int:
@@ -75,7 +73,7 @@ def cmd_bound_curve(args) -> int:
 
 
 def cmd_threshold(args) -> int:
-    _, params = _family_args(args)
+    params = _family_args(args)
     s_values = parse_s_list(args.s)
     lines = ["family_param,s,criterion,epsilon_star"]
     for p in params:
@@ -91,7 +89,7 @@ def cmd_threshold(args) -> int:
 
 
 def cmd_witness_curve(args) -> int:
-    _, params = _family_args(args)
+    params = _family_args(args)
     if len(params) != 1:
         raise ValueError("witness-curve takes a single family parameter")
     family = StateFamily(kind=args.family, param=params[0])
@@ -144,7 +142,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="PSS squeezing or range lo..hi")
         p.add_argument("--s", required=True,
                        help="comma-separated ordering parameters, all <= 0")
-        p.add_argument("--cutoff", type=int, default=_default_cutoff())
+        p.add_argument("--cutoff", type=int,
+                       default=os.environ.get("QNG_DEFAULT_CUTOFF", "80"))
         p.add_argument("--nbar-slack", type=float, default=0.0)
         p.add_argument("--out", default=None)
 
@@ -182,7 +181,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, AssertionError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (TruncationError, ArithmeticError) as exc:

@@ -4,20 +4,30 @@ States are density matrices on the span of |0>..|cutoff|, stored together
 with an upper estimate of the probability mass lost to truncation.
 Conventions: D(beta) = exp(beta a^dag - beta* a) and, for real q,
 S(q) = exp(q/2 (a^dag^2 - a^2)), so that S^dag a S = a cosh q + a^dag sinh q.
+
+Every Gaussian object comes from one annihilator recurrence. The amplitudes
+of D(beta)S(q)|0> (coherent and squeezed vacua included) follow a three-term
+recurrence in the photon number, and the matrix elements <m|D(beta)S(q)|n>
+follow a recurrence in n seeded by that vector (Miatto & Quesada, Quantum 4,
+366 (2020)). Both are exact at any cutoff: no element depends on levels
+past it, so a Gaussian map needs no enlarged basis and the trace it pushes
+past the cutoff is known exactly.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
 from scipy.special import gammaln
 
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 EIGVAL_TOL = 1e-8
 TRUNCATION_LIMIT = 1e-6
+MAP_TRUNCATION_LIMIT = 1e-8
 
 
 class TruncationError(Exception):
@@ -87,16 +97,13 @@ class TruncatedState:
         return self.cutoff + 1
 
 
-def _lowering_op(dim: int) -> np.ndarray:
-    a = np.zeros((dim, dim), dtype=complex)
-    idx = np.arange(1, dim)
-    a[idx - 1, idx] = np.sqrt(idx)
-    return a
-
-
-def _state_from_vector(psi: np.ndarray, cutoff: int, tail_bound: float) -> TruncatedState:
+def _state_from_vector(psi: np.ndarray, cutoff: int, what: str) -> TruncatedState:
+    """Pure state |psi><psi|; the norm missing from psi is its tail."""
+    tail = max(0.0, 1.0 - float(np.sum(np.abs(psi) ** 2)))
+    if tail >= TRUNCATION_LIMIT:
+        raise TruncationError(f"cutoff {cutoff} leaves tail {tail:.3e} for {what}")
     return TruncatedState(cutoff=cutoff, matrix=np.outer(psi, psi.conj()),
-                          tail_bound=tail_bound)
+                          tail_bound=tail)
 
 
 def make_fock(m: int, cutoff: int) -> TruncatedState:
@@ -107,73 +114,29 @@ def make_fock(m: int, cutoff: int) -> TruncatedState:
         raise TruncationError(f"cutoff {cutoff} too small for Fock state |{m}>")
     psi = np.zeros(cutoff + 1, dtype=complex)
     psi[m] = 1.0
-    return _state_from_vector(psi, cutoff, 0.0)
-
-
-def coherent_amplitudes(alpha: complex, cutoff: int) -> np.ndarray:
-    """Amplitudes e^{-|a|^2/2} alpha^n / sqrt(n!) for n = 0..cutoff."""
-    n = np.arange(cutoff + 1)
-    # log-magnitude to avoid overflow in alpha^n / sqrt(n!)
-    r = np.abs(alpha)
-    if r == 0:
-        amps = np.zeros(cutoff + 1, dtype=complex)
-        amps[0] = 1.0
-        return amps
-    logmag = -0.5 * r**2 + n * np.log(r) - 0.5 * gammaln(n + 1)
-    phase = np.exp(1j * n * np.angle(alpha))
-    return np.exp(logmag) * phase
+    return _state_from_vector(psi, cutoff, f"Fock state |{m}>")
 
 
 def make_coherent(alpha: complex, cutoff: int) -> TruncatedState:
     """Coherent state |alpha>, truncated at the given cutoff."""
-    amps = coherent_amplitudes(alpha, cutoff)
-    tail = max(0.0, 1.0 - float(np.sum(np.abs(amps) ** 2)))
-    if tail >= TRUNCATION_LIMIT:
-        raise TruncationError(
-            f"cutoff {cutoff} leaves tail {tail:.3e} for |alpha|={abs(alpha):.3g}"
-        )
-    return _state_from_vector(amps, cutoff, tail)
+    return _state_from_vector(displaced_squeezed_vector(alpha, 0.0, cutoff),
+                              cutoff, f"|alpha|={abs(alpha):.3g}")
 
 
 def make_pac(alpha: float, cutoff: int) -> TruncatedState:
     """Photon-added coherent state, normalized a^dag |alpha>."""
-    c = coherent_amplitudes(alpha, cutoff)
+    c = displaced_squeezed_vector(alpha, 0.0, cutoff)
     psi = np.zeros(cutoff + 1, dtype=complex)
     psi[1:] = c[:-1] * np.sqrt(np.arange(1, cutoff + 1))
     # exact norm of a^dag|alpha> is sqrt(1 + |alpha|^2)
     psi /= np.sqrt(1.0 + abs(alpha) ** 2)
-    tail = max(0.0, 1.0 - float(np.sum(np.abs(psi) ** 2)))
-    if tail >= TRUNCATION_LIMIT:
-        raise TruncationError(
-            f"cutoff {cutoff} leaves tail {tail:.3e} for PAC alpha={alpha:.3g}"
-        )
-    return _state_from_vector(psi, cutoff, tail)
-
-
-def squeezed_vacuum_amplitudes(r: float, cutoff: int) -> np.ndarray:
-    """Amplitudes of S(r)|0>: support on even levels only."""
-    amps = np.zeros(cutoff + 1, dtype=complex)
-    t = np.tanh(r)
-    if t == 0:
-        amps[0] = 1.0
-        return amps
-    k = np.arange(cutoff // 2 + 1)
-    # c_{2k} = (tanh r)^k sqrt((2k)!)/(2^k k!) / sqrt(cosh r)
-    logmag = (0.5 * gammaln(2 * k + 1) - k * np.log(2.0) - gammaln(k + 1)
-              - 0.5 * np.log(np.cosh(r)) + k * np.log(abs(t)))
-    amps[2 * k] = np.sign(t) ** k * np.exp(logmag)
-    return amps
+    return _state_from_vector(psi, cutoff, f"PAC alpha={alpha:.3g}")
 
 
 def make_squeezed(r: float, cutoff: int) -> TruncatedState:
     """Squeezed vacuum S(r)|0>."""
-    amps = squeezed_vacuum_amplitudes(r, cutoff)
-    tail = max(0.0, 1.0 - float(np.sum(np.abs(amps) ** 2)))
-    if tail >= TRUNCATION_LIMIT:
-        raise TruncationError(
-            f"cutoff {cutoff} leaves tail {tail:.3e} for squeezed vacuum r={r:.3g}"
-        )
-    return _state_from_vector(amps, cutoff, tail)
+    return _state_from_vector(displaced_squeezed_vector(0.0, r, cutoff),
+                              cutoff, f"squeezed vacuum r={r:.3g}")
 
 
 def make_pss(r: float, cutoff: int) -> TruncatedState:
@@ -185,31 +148,17 @@ def make_pss(r: float, cutoff: int) -> TruncatedState:
         raise ValueError("r must be >= 0")
     if r == 0:
         return make_fock(1, cutoff)
-    c = squeezed_vacuum_amplitudes(r, cutoff + 1)
+    c = displaced_squeezed_vector(0.0, r, cutoff + 1)
     n = np.arange(1, cutoff + 2)
     psi = c[1:] * np.sqrt(n)  # (a psi)_n = sqrt(n+1) c_{n+1}
     psi = psi / np.sinh(r)    # exact norm of a S(r)|0> is sinh r
-    tail = max(0.0, 1.0 - float(np.sum(np.abs(psi) ** 2)))
-    if tail >= TRUNCATION_LIMIT:
-        raise TruncationError(
-            f"cutoff {cutoff} leaves tail {tail:.3e} for PSS r={r:.3g}"
-        )
-    return _state_from_vector(psi, cutoff, tail)
+    return _state_from_vector(psi, cutoff, f"PSS r={r:.3g}")
 
 
 def make_displaced_squeezed(beta: complex, q: float, cutoff: int) -> TruncatedState:
     """Pure Gaussian state D(beta) S(q) |0> on the truncated basis."""
-    psi = displaced_squeezed_vector(beta, q, cutoff)
-    tail = max(0.0, 1.0 - float(np.sum(np.abs(psi) ** 2)))
-    if tail >= TRUNCATION_LIMIT:
-        raise TruncationError(
-            f"cutoff {cutoff} leaves tail {tail:.3e} for beta={beta}, q={q}"
-        )
-    return _state_from_vector(psi, cutoff, tail)
-
-
-def _headroom(beta: complex, q: float) -> int:
-    return int(np.ceil(max(20.0, 4.0 * abs(beta) ** 2, 4.0 * np.sinh(q) ** 2)))
+    return _state_from_vector(displaced_squeezed_vector(beta, q, cutoff),
+                              cutoff, f"beta={beta}, q={q}")
 
 
 def displaced_squeezed_vector(beta: complex, q: float, cutoff: int) -> np.ndarray:
@@ -220,15 +169,17 @@ def displaced_squeezed_vector(beta: complex, q: float, cutoff: int) -> np.ndarra
     overlap; every returned amplitude is exact at the cutoff.
     """
     beta = complex(beta)
-    mu, nu = np.cosh(q), np.sinh(q)
-    c = np.zeros(cutoff + 1, dtype=complex)
-    c[0] = (np.exp(-0.5 * abs(beta) ** 2 + 0.5 * np.tanh(q) * np.conj(beta) ** 2)
-            / np.sqrt(mu))
-    drive = mu * beta - nu * np.conj(beta)
+    mu, nu = math.cosh(q), math.sinh(q)
+    c = (cmath.exp(-0.5 * abs(beta) ** 2 + 0.5 * math.tanh(q) * beta.conjugate() ** 2)
+         / math.sqrt(mu))
+    drive = mu * beta - nu * beta.conjugate()
+    amps = [c]
+    prev = 0.0  # sqrt(n) c[n-1]
     for n in range(cutoff):
-        prev = np.sqrt(n) * c[n - 1] if n > 0 else 0.0
-        c[n + 1] = (drive * c[n] + nu * prev) / (mu * np.sqrt(n + 1))
-    return c
+        root = math.sqrt(n + 1)
+        c, prev = (drive * c + nu * prev) / (mu * root), root * c
+        amps.append(c)
+    return np.array(amps, dtype=complex)
 
 
 def apply_loss(state: TruncatedState, channel: ChannelSpec) -> TruncatedState:
@@ -243,7 +194,6 @@ def apply_loss(state: TruncatedState, channel: ChannelSpec) -> TruncatedState:
     d = state.dim
     rho = state.matrix
     eta = 1.0 - eps
-    m = np.arange(d)
     out = np.zeros_like(rho)
     for loss in range(d):
         keep = np.arange(d - loss)
@@ -261,31 +211,40 @@ def apply_loss(state: TruncatedState, channel: ChannelSpec) -> TruncatedState:
                           tail_bound=state.tail_bound)
 
 
-def apply_map(state: TruncatedState, gmap: GaussianMapSpec,
-              max_tail_loss: float = 1e-8) -> TruncatedState:
-    """Apply the unitary D(beta) S(q) to a state, with truncation control.
+def apply_map(state: TruncatedState, gmap: GaussianMapSpec) -> TruncatedState:
+    """Apply the unitary U = D(beta) S(q) to a state, with truncation control.
 
-    The unitary is built by exponentiating the truncated generators on an
-    enlarged basis; the result is projected back onto the state's cutoff and
-    the trace lost in projection is added to tail_bound.
+    The block G[m, n] = <m|U|n> on the state's levels is built exactly, one
+    column at a time. Column 0 is U|0>; a^dag U = U (a^dag cosh q + a sinh q
+    + beta*) gives the rest,
+
+        sqrt(n+1) G[m, n+1] = (sqrt(m) G[m-1, n] - beta* G[m, n]) / cosh q
+                              - tanh q sqrt(n) G[m, n-1],
+
+    which reads no level past the cutoff. The mapped state is G rho G^dag.
+    Since U is unitary, Tr rho - Tr(G rho G^dag) is exactly the trace pushed
+    past the cutoff; it is added to tail_bound.
     """
     if gmap.is_identity:
         return state
     beta, q = complex(gmap.displacement), float(gmap.squeeze)
-    work = state.dim + _headroom(beta, q)
-    a = _lowering_op(work)
-    ad = a.conj().T
-    u = np.eye(work, dtype=complex)
-    if q != 0:
-        u = expm(0.5 * q * (ad @ ad - a @ a)) @ u
-    if beta != 0:
-        u = expm(beta * ad - np.conj(beta) * a) @ u
-    big = np.zeros((work, work), dtype=complex)
-    big[: state.dim, : state.dim] = state.matrix
-    big = u @ big @ u.conj().T
-    sub = big[: state.dim, : state.dim]
-    lost = float(np.real(np.trace(big) - np.trace(sub)))
-    if lost > max_tail_loss:
+    d = state.dim
+    root = np.sqrt(np.arange(d))
+    inv_mu, t = 1.0 / math.cosh(q), math.tanh(q)
+    cols = np.empty((d, d), dtype=complex)  # cols[n] = G[:, n]
+    cols[0] = displaced_squeezed_vector(beta, q, d - 1)
+    for n in range(d - 1):
+        col = -beta.conjugate() * cols[n]
+        col[1:] += root[1:] * cols[n, :-1]
+        col *= inv_mu
+        if n > 0:
+            col -= (t * root[n]) * cols[n - 1]
+        cols[n + 1] = col / root[n + 1]
+    g = cols.T
+    rho = state.matrix
+    sub = g @ rho @ g.conj().T
+    lost = float(np.real(np.trace(rho) - np.trace(sub)))
+    if lost > MAP_TRUNCATION_LIMIT:
         raise TruncationError(
             f"map loses trace {lost:.3e} past cutoff {state.cutoff}"
         )

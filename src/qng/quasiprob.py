@@ -84,7 +84,6 @@ def qs_pure_gaussian(p: PureGaussianParam, s) -> float:
     """
     sv = _coerce_s(s)
     d = 1.0 + sv * (sv - 2.0 - 4.0 * p.m)
-    assert d > 0, "denominator must be positive for s <= 0"
     num = (p.n - p.m) * (1.0 + 2.0 * p.m
                          - 2.0 * np.sqrt(p.m * (1.0 + p.m)) * np.cos(2.0 * p.theta - p.phi)
                          - sv)

@@ -144,8 +144,7 @@ def _seed_map(family: StateFamily, epsilon: float) -> tuple[GaussianMapSpec, str
 
 
 def witness_at_loss(family: StateFamily, s, epsilon: float, criterion: str,
-                    cutoff: int = 80, nbar_slack: float = 0.0,
-                    refine: bool = True) -> WitnessReport:
+                    cutoff: int = 80, nbar_slack: float = 0.0) -> WitnessReport:
     """Witness value of a family member after loss, map-optimized for 'b'."""
     if criterion not in ("a", "b"):
         raise ValueError(f"criterion must be 'a' or 'b', got {criterion!r}")
@@ -155,7 +154,7 @@ def witness_at_loss(family: StateFamily, s, epsilon: float, criterion: str,
         return delta_a(lossy, s, nbar_slack=nbar_slack)
     seed, which = _seed_map(family, epsilon)
     gmap = seed
-    if refine and not seed.is_identity:
+    if not seed.is_identity:
         gmap = refine_map(lossy, s, seed, which=which)
     return delta_b(lossy, s, gmap, nbar_slack=nbar_slack)
 

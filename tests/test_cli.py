@@ -59,6 +59,11 @@ class TestThreshold:
         assert code == 0
         assert len(out.strip().split("\n")) == 3
 
+    def test_non_integer_fock_number_rejected(self, capsys):
+        code, _ = run_cli(["threshold", "--family", "fock", "--m", "1.5",
+                           "--s", "0"], capsys)
+        assert code == 2
+
     def test_missing_family_param(self, capsys):
         code, _ = run_cli(["threshold", "--family", "pac", "--s", "0"],
                           capsys)
@@ -117,3 +122,11 @@ def test_default_cutoff_env(monkeypatch):
     args = parser.parse_args(["threshold", "--family", "fock", "--m", "1",
                               "--s", "0"])
     assert args.cutoff == 64
+
+
+def test_default_cutoff_env_not_integer(monkeypatch, capsys):
+    monkeypatch.setenv("QNG_DEFAULT_CUTOFF", "abc")
+    with pytest.raises(SystemExit) as exc:
+        main(["threshold", "--family", "fock", "--m", "1", "--s", "0"])
+    assert exc.value.code == 2
+    assert "--cutoff" in capsys.readouterr().err

@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from qng.fock import (ChannelSpec, GaussianMapSpec, TruncatedState,
                       TruncationError, apply_loss, apply_map, make_coherent,
@@ -160,17 +163,24 @@ class TestGaussianMap:
 
     def test_displaced_vacuum_is_coherent(self):
         out = apply_map(make_fock(0, 50), GaussianMapSpec(displacement=1.0))
-        ref = make_coherent(1.0, 50)
-        assert np.max(np.abs(out.matrix - ref.matrix)) < 1e-8
+        # Poisson amplitudes e^{-1/2} / sqrt(n!) of |alpha = 1>
+        ref = np.array([math.exp(-0.5) / math.sqrt(math.factorial(n))
+                        for n in range(51)])
+        assert np.max(np.abs(out.matrix - np.outer(ref, ref))) < 1e-8
 
     def test_squeezed_vacuum_photon_number(self):
         out = apply_map(make_fock(0, 50), GaussianMapSpec(squeeze=0.3))
         assert moments(out)[0] == pytest.approx(np.sinh(0.3) ** 2, abs=1e-8)
 
     def test_squeezed_vacuum_matches_series(self):
-        out = apply_map(make_fock(0, 50), GaussianMapSpec(squeeze=0.3))
-        ref = make_squeezed(0.3, 50)
-        assert np.max(np.abs(out.matrix - ref.matrix)) < 1e-10
+        r = 0.3
+        out = apply_map(make_fock(0, 50), GaussianMapSpec(squeeze=r))
+        # c_2k = (tanh r)^k sqrt((2k)!) / (2^k k! sqrt(cosh r)), odd levels empty
+        ref = np.zeros(51)
+        for k in range(26):
+            ref[2 * k] = (math.tanh(r) ** k * math.sqrt(math.factorial(2 * k))
+                          / (2 ** k * math.factorial(k) * math.sqrt(math.cosh(r))))
+        assert np.max(np.abs(out.matrix - np.outer(ref, ref))) < 1e-10
 
     def test_displacement_moment_rule(self):
         st = make_pac(0.8, 70)
@@ -198,6 +208,29 @@ class TestGaussianMap:
     def test_excessive_displacement_raises(self):
         with pytest.raises(TruncationError):
             apply_map(make_fock(0, 4), GaussianMapSpec(displacement=3.0))
+
+    @pytest.mark.parametrize("cutoff,beta,q,state", [
+        (40, 1 - 1j, -0.5, "pac"),
+        # lossy PAC 1.5 pushes 1.8e-9 past cutoff 80: must fit, not raise
+        pytest.param(80, -3.0, 1.0, "pac", id="lossy-pac-strong-map"),
+        (170, 0.3, 1.0, "pss"),
+    ])
+    def test_matches_expm_on_enlarged_basis(self, cutoff, beta, q, state):
+        if state == "pac":
+            st = apply_loss(make_pac(1.5, cutoff), ChannelSpec(0.3))
+        else:
+            st = apply_loss(make_pss(0.5, cutoff), ChannelSpec(0.4))
+        # oracle: exponentiated generators on 500 extra levels, then projected
+        work = st.dim + 500
+        a = np.diag(np.sqrt(np.arange(1.0, work)), 1)
+        u = expm(0.5 * q * (a.T @ a.T - a @ a))[:, : st.dim]
+        u = expm(beta * a.T - np.conj(beta) * a) @ u
+        big = u @ st.matrix @ u.conj().T
+        ref = big[: st.dim, : st.dim]
+        lost = np.trace(big).real - np.trace(ref).real
+        out = apply_map(st, GaussianMapSpec(displacement=beta, squeeze=q))
+        assert np.max(np.abs(out.matrix - ref)) < 1e-12
+        assert out.tail_bound - st.tail_bound == pytest.approx(lost, abs=1e-12)
 
     def test_displaced_squeezed_constructor(self):
         st = make_displaced_squeezed(0.7 + 0.1j, -0.3, 60)
