@@ -131,6 +131,11 @@ def build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--out", default=None)
     pb.set_defaults(func=cmd_bound_curve)
 
+    def positive_int(text: str) -> int:
+        if int(text) < 1:
+            raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
+        return int(text)
+
     def add_family_flags(p):
         p.add_argument("--family", choices=("fock", "pac", "pss"),
                        required=True)
@@ -142,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="PSS squeezing or range lo..hi")
         p.add_argument("--s", required=True,
                        help="comma-separated ordering parameters, all <= 0")
-        p.add_argument("--cutoff", type=int,
+        p.add_argument("--cutoff", type=positive_int,
                        default=os.environ.get("QNG_DEFAULT_CUTOFF", "80"))
         p.add_argument("--nbar-slack", type=float, default=0.0)
         p.add_argument("--out", default=None)

@@ -28,6 +28,7 @@ TRACE_TOL = 1e-10
 EIGVAL_TOL = 1e-8
 TRUNCATION_LIMIT = 1e-6
 MAP_TRUNCATION_LIMIT = 1e-8
+RESCALE_AT = 2.0 ** 500  # a power of two, so rescaling is exact
 
 
 class TruncationError(Exception):
@@ -142,11 +143,11 @@ def make_squeezed(r: float, cutoff: int) -> TruncatedState:
 def make_pss(r: float, cutoff: int) -> TruncatedState:
     """Photon-subtracted squeezed state, normalized a S(r)|0>.
 
-    The r -> 0 limit is the single-photon state; r = 0 returns |1> directly.
+    The r -> 0 limit |1> is returned directly once r * r underflows to 0.
     """
     if r < 0:
         raise ValueError("r must be >= 0")
-    if r == 0:
+    if r * r == 0.0:
         return make_fock(1, cutoff)
     c = displaced_squeezed_vector(0.0, r, cutoff + 1)
     n = np.arange(1, cutoff + 2)
@@ -166,20 +167,25 @@ def displaced_squeezed_vector(beta: complex, q: float, cutoff: int) -> np.ndarra
 
     The state is annihilated by mu (a - beta) - nu (a^dag - beta*), which
     gives an exact three-term recurrence seeded by the closed-form vacuum
-    overlap; every returned amplitude is exact at the cutoff.
+    overlap; every returned amplitude is exact at the cutoff. The seed's
+    magnitude (0.0 past |beta| ~ 38) and exact rescalings enter per term as logs.
     """
     beta = complex(beta)
     mu, nu = math.cosh(q), math.sinh(q)
-    c = (cmath.exp(-0.5 * abs(beta) ** 2 + 0.5 * math.tanh(q) * beta.conjugate() ** 2)
-         / math.sqrt(mu))
+    exponent = -0.5 * abs(beta) ** 2 + 0.5 * math.tanh(q) * beta.conjugate() ** 2
+    c = cmath.exp(1j * exponent.imag) / math.sqrt(mu)
     drive = mu * beta - nu * beta.conjugate()
+    log_scale = np.full(cutoff + 1, exponent.real)
     amps = [c]
     prev = 0.0  # sqrt(n) c[n-1]
     for n in range(cutoff):
         root = math.sqrt(n + 1)
         c, prev = (drive * c + nu * prev) / (mu * root), root * c
+        if abs(c) > RESCALE_AT:
+            c, prev = c / RESCALE_AT, prev / RESCALE_AT
+            log_scale[n + 1:] += math.log(RESCALE_AT)
         amps.append(c)
-    return np.array(amps, dtype=complex)
+    return np.array(amps, dtype=complex) * np.exp(log_scale)
 
 
 def apply_loss(state: TruncatedState, channel: ChannelSpec) -> TruncatedState:

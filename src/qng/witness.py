@@ -4,20 +4,22 @@ A witness compares the origin quasiprobability of a state against the
 Gaussian-hull bound evaluated at the state's mean photon number; a negative
 difference certifies the state lies outside the hull. The second-criterion
 variant first applies a Gaussian unitary (displacement or squeezing) chosen
-to make the comparison as favourable as possible.
+to make the comparison as favourable as possible. Criterion a needs only the
+photon numbers p_m: pure loss eps maps G(z) = sum_m p_m z^m to G(eps + eta z),
+eta = 1 - eps, so Q_s(0) = 2/(pi(1-s)) G(eps - eta (1+s)/(1-s)), n_bar = eta n_bar_0.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .bounds import pure_bound
 from .fock import (ChannelSpec, GaussianMapSpec, TruncatedState, TruncationError,
-                   apply_loss, apply_map, make_fock, make_pac, make_pss, moments)
-from .quasiprob import _coerce_s, qs_origin
+                   apply_loss, apply_map, make_fock, make_pac, make_pss, photon_probs)
+from .quasiprob import _coerce_s
 
 
 @dataclass(frozen=True)
@@ -59,25 +61,30 @@ class ThresholdResult:
     bisection_tol: float
 
 
-def delta_a(state: TruncatedState, s, nbar_slack: float = 0.0) -> WitnessReport:
-    """First-criterion witness: origin value minus hull bound at n_bar."""
+def _criterion_a(p, s, epsilon: float, nbar_slack: float) -> WitnessReport:
+    """First-criterion witness of photon numbers p after loss epsilon."""
     sv = _coerce_s(s)
-    q_value = qs_origin(state, sv)
-    nbar = moments(state)[0] + nbar_slack
+    eps = ChannelSpec(epsilon).epsilon
+    eta, m = 1.0 - eps, np.arange(p.size)
+    x = eps - eta * (1.0 + sv) / (1.0 - sv)
+    q_value = float(2.0 / (np.pi * (1.0 - sv)) * np.dot(x ** m, p))
+    nbar = eta * float(np.dot(m, p)) + nbar_slack
     bound = pure_bound(nbar, sv)[0]
     delta = q_value - bound
     return WitnessReport(s=sv, q_value=q_value, n_bar=nbar, bound=bound,
                          delta=delta, conclusive=delta < 0)
 
 
+def delta_a(state: TruncatedState, s, nbar_slack: float = 0.0) -> WitnessReport:
+    """First-criterion witness: origin value minus hull bound at n_bar."""
+    return _criterion_a(photon_probs(state), s, 0.0, nbar_slack)
+
+
 def delta_b(state: TruncatedState, s, gmap: GaussianMapSpec,
             nbar_slack: float = 0.0) -> WitnessReport:
     """Second-criterion witness: first-criterion witness of the mapped state."""
-    mapped = apply_map(state, gmap)
-    report = delta_a(mapped, s, nbar_slack=nbar_slack)
-    return WitnessReport(s=report.s, q_value=report.q_value, n_bar=report.n_bar,
-                         bound=report.bound, delta=report.delta,
-                         conclusive=report.conclusive, map=gmap)
+    report = delta_a(apply_map(state, gmap), s, nbar_slack=nbar_slack)
+    return replace(report, map=gmap)
 
 
 def beta_opt(alpha: float, epsilon: float) -> complex:
@@ -143,20 +150,23 @@ def _seed_map(family: StateFamily, epsilon: float) -> tuple[GaussianMapSpec, str
     return GaussianMapSpec(), "displacement"
 
 
+def _witness(base: TruncatedState, family: StateFamily, s, epsilon: float,
+             criterion: str, nbar_slack: float) -> WitnessReport:
+    """Witness of the built family state base after loss epsilon."""
+    if criterion == "a":
+        return _criterion_a(photon_probs(base), s, epsilon, nbar_slack)
+    if criterion != "b":
+        raise ValueError(f"criterion must be 'a' or 'b', got {criterion!r}")
+    lossy = apply_loss(base, ChannelSpec(epsilon))
+    seed, which = _seed_map(family, epsilon)
+    gmap = seed if seed.is_identity else refine_map(lossy, s, seed, which=which)
+    return delta_b(lossy, s, gmap, nbar_slack=nbar_slack)
+
+
 def witness_at_loss(family: StateFamily, s, epsilon: float, criterion: str,
                     cutoff: int = 80, nbar_slack: float = 0.0) -> WitnessReport:
     """Witness value of a family member after loss, map-optimized for 'b'."""
-    if criterion not in ("a", "b"):
-        raise ValueError(f"criterion must be 'a' or 'b', got {criterion!r}")
-    base = family.build(cutoff)
-    lossy = apply_loss(base, ChannelSpec(epsilon))
-    if criterion == "a":
-        return delta_a(lossy, s, nbar_slack=nbar_slack)
-    seed, which = _seed_map(family, epsilon)
-    gmap = seed
-    if not seed.is_identity:
-        gmap = refine_map(lossy, s, seed, which=which)
-    return delta_b(lossy, s, gmap, nbar_slack=nbar_slack)
+    return _witness(family.build(cutoff), family, s, epsilon, criterion, nbar_slack)
 
 
 def epsilon_threshold(family: StateFamily, s, criterion: str = "a",
@@ -174,10 +184,10 @@ def epsilon_threshold(family: StateFamily, s, criterion: str = "a",
     sv = _coerce_s(s)
     if tol < 1e-6:
         raise ValueError("tol must be >= 1e-6")
+    base = family.build(cutoff)
 
     def delta(eps: float) -> float:
-        return witness_at_loss(family, sv, eps, criterion, cutoff=cutoff,
-                               nbar_slack=nbar_slack).delta
+        return _witness(base, family, sv, eps, criterion, nbar_slack).delta
 
     hi = 1.0 - tol
     if delta(hi) <= 0:

@@ -64,6 +64,15 @@ class TestThreshold:
                            "--s", "0"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("cutoff", ["0", "-3"])
+    def test_cutoff_below_one_rejected(self, cutoff, capsys):
+        # m = 1 lies above the cutoff: this used to exit 3 (truncation)
+        with pytest.raises(SystemExit) as exc:
+            main(["threshold", "--family", "fock", "--m", "1", "--s", "0",
+                  "--cutoff", cutoff])
+        assert exc.value.code == 2
+        assert "--cutoff" in capsys.readouterr().err
+
     def test_missing_family_param(self, capsys):
         code, _ = run_cli(["threshold", "--family", "pac", "--s", "0"],
                           capsys)
@@ -126,6 +135,14 @@ def test_default_cutoff_env(monkeypatch):
 
 def test_default_cutoff_env_not_integer(monkeypatch, capsys):
     monkeypatch.setenv("QNG_DEFAULT_CUTOFF", "abc")
+    with pytest.raises(SystemExit) as exc:
+        main(["threshold", "--family", "fock", "--m", "1", "--s", "0"])
+    assert exc.value.code == 2
+    assert "--cutoff" in capsys.readouterr().err
+
+
+def test_default_cutoff_env_below_one(monkeypatch, capsys):
+    monkeypatch.setenv("QNG_DEFAULT_CUTOFF", "0")
     with pytest.raises(SystemExit) as exc:
         main(["threshold", "--family", "fock", "--m", "1", "--s", "0"])
     assert exc.value.code == 2

@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 from scipy.linalg import expm
+from scipy.special import gammaln
 
 from qng.fock import (ChannelSpec, GaussianMapSpec, TruncatedState,
-                      TruncationError, apply_loss, apply_map, make_coherent,
+                      TruncationError, apply_loss, apply_map,
+                      displaced_squeezed_vector, make_coherent,
                       make_displaced_squeezed, make_fock, make_pac, make_pss,
                       make_squeezed, mix, moments, photon_probs)
 
@@ -49,6 +51,21 @@ class TestConstructors:
     def test_coherent_truncation_error(self):
         with pytest.raises(TruncationError):
             make_coherent(4, 10)
+
+    def test_large_amplitude_matches_log_space_poisson(self):
+        # exp(-|beta|^2/2) underflows at |beta| = 39; the amplitudes must not
+        beta = 39 * np.exp(0.3j)
+        c = displaced_squeezed_vector(beta, 0.0, 2400)
+        n = np.arange(2401)
+        ref = np.exp(-0.5 * abs(beta) ** 2 + n * np.log(abs(beta))
+                     - 0.5 * gammaln(n + 1) + 0.3j * n)
+        assert np.max(np.abs(c - ref)) < 1e-12
+        assert abs(np.sum(np.abs(c) ** 2) - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("r", [0.0, 5e-324, 1e-200])
+    def test_pss_tiny_squeezing_is_single_photon(self, r):
+        st = make_pss(r, 10)
+        assert photon_probs(st)[1] == pytest.approx(1.0, abs=1e-14)
 
     def test_pac_zero_is_single_photon(self):
         st = make_pac(0, 10)

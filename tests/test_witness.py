@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 from scipy.optimize import brentq, minimize_scalar
 
+import qng.witness
 from qng.bounds import bound_objective, pure_bound
 from qng.fock import (ChannelSpec, GaussianMapSpec, apply_loss, apply_map,
                       make_coherent, make_fock, make_pac, make_pss, mix,
@@ -42,6 +45,79 @@ class TestDeltaA:
         rep = delta_a(make_fock(2, 10), -1)
         assert rep.delta == rep.q_value - rep.bound
         assert rep.conclusive == (rep.delta < 0)
+
+
+FAMILIES = [StateFamily("fock", 3), StateFamily("pac", 2.0),
+            StateFamily("pss", 0.45)]
+
+
+def assert_matches_lossy_matrix(family, s, eps, nbar_slack):
+    # the lossy density matrix is the oracle of the generating-function path
+    fast = witness_at_loss(family, s, eps, "a", nbar_slack=nbar_slack)
+    lossy = apply_loss(family.build(80), ChannelSpec(eps))
+    oracle = delta_a(lossy, s, nbar_slack=nbar_slack)
+    assert abs(fast.delta - oracle.delta) <= 1e-12
+    assert abs(fast.q_value - oracle.q_value) <= 1e-12
+    assert abs(fast.n_bar - oracle.n_bar) <= 1e-12
+    assert fast.conclusive == (fast.delta < 0)
+
+
+class TestCriterionAFromPhotonNumbers:
+    @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.kind)
+    @pytest.mark.parametrize("s", [0, -0.25, -1, -2, -3])
+    @pytest.mark.parametrize("eps", [0, 0.1, 0.5, 0.9, 1])
+    def test_matches_lossy_matrix(self, family, s, eps):
+        assert_matches_lossy_matrix(family, s, eps, 0.0)
+
+    @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.kind)
+    def test_matches_lossy_matrix_with_nbar_slack(self, family):
+        assert_matches_lossy_matrix(family, -1, 0.3, 0.25)
+
+    @settings(max_examples=40, deadline=None)
+    @given(family=hst.one_of(
+               hst.builds(StateFamily, hst.just("fock"), hst.integers(0, 8)),
+               hst.builds(StateFamily, hst.just("pac"), hst.floats(0, 3)),
+               hst.builds(StateFamily, hst.just("pss"), hst.floats(0, 0.8))),
+           s=hst.floats(-3, 0), eps=hst.floats(0, 1),
+           nbar_slack=hst.floats(0, 1))
+    def test_matches_lossy_matrix_property(self, family, s, eps, nbar_slack):
+        assert_matches_lossy_matrix(family, s, eps, nbar_slack)
+
+    @pytest.mark.parametrize("criterion", ["a", "b"])
+    def test_threshold_builds_once(self, monkeypatch, criterion):
+        builds, losses = [], []
+        build, loss = StateFamily.build, qng.witness.apply_loss
+
+        def counted_build(self, cutoff):
+            builds.append(cutoff)
+            return build(self, cutoff)
+
+        def counted_loss(*args):
+            losses.append(args)
+            return loss(*args)
+
+        monkeypatch.setattr(StateFamily, "build", counted_build)
+        monkeypatch.setattr(qng.witness, "apply_loss", counted_loss)
+        res = epsilon_threshold(StateFamily("fock", 2), 0, criterion,
+                                tol=1e-3, scan_points=20)
+        assert isinstance(res.epsilon_star, float)  # a scan and a bisection
+        assert builds == [80]
+        if criterion == "a":
+            assert losses == []
+        else:
+            assert losses
+
+    @pytest.mark.parametrize("criterion", ["a", "b"])
+    @pytest.mark.parametrize("eps", [-0.1, 1.5])
+    def test_epsilon_out_of_range_rejected(self, criterion, eps):
+        with pytest.raises(ValueError):
+            witness_at_loss(StateFamily("fock", 1), 0, eps, criterion)
+
+    def test_unknown_criterion_rejected(self):
+        with pytest.raises(ValueError):
+            witness_at_loss(StateFamily("fock", 1), 0, 0.5, "c")
+        with pytest.raises(ValueError):
+            epsilon_threshold(StateFamily("fock", 1), 0, "c")
 
 
 class TestDeltaB:
