@@ -82,14 +82,11 @@ class Rank2Candidate:
     value: float
 
 
-@dataclass(frozen=True)
-class Rank2GridSpec:
-    n1_points: int = 60
-    n2_points: int = 60
-    refine_rounds: int = 3
+RANK2_POINTS = 60  # grid points per axis
+RANK2_REFINE_ROUNDS = 3
 
 
-def rank2_search(n: float, s, grid_spec: Rank2GridSpec | None = None) -> Rank2Candidate:
+def rank2_search(n: float, s) -> Rank2Candidate:
     """Search rank-2 mixtures p B(n1) + (1-p) B(n2) with p n1 + (1-p) n2 = n.
 
     n1 runs over [0, n] linearly, n2 over [n, 50n + 10] with logarithmic
@@ -99,7 +96,6 @@ def rank2_search(n: float, s, grid_spec: Rank2GridSpec | None = None) -> Rank2Ca
     sv = _coerce_s(s)
     if n < 0:
         raise ValueError("n must be >= 0")
-    spec = grid_spec or Rank2GridSpec()
     b_n = pure_bound(n, sv)[0]
     best = Rank2Candidate(n1=n, n2=n, p=1.0, value=b_n)
     if n == 0:
@@ -107,15 +103,15 @@ def rank2_search(n: float, s, grid_spec: Rank2GridSpec | None = None) -> Rank2Ca
 
     lo1, hi1 = 0.0, n
     lo2, hi2 = n, 50.0 * n + 10.0
-    for round_idx in range(spec.refine_rounds + 1):
-        n1g = np.linspace(lo1, hi1, spec.n1_points)
+    for round_idx in range(RANK2_REFINE_ROUNDS + 1):
+        n1g = np.linspace(lo1, hi1, RANK2_POINTS)
         span = hi2 - lo2
         if span <= 0:
             n2g = np.array([lo2])
         elif round_idx == 0:
-            n2g = lo2 + np.geomspace(1e-6 * span, span, spec.n2_points)
+            n2g = lo2 + np.geomspace(1e-6 * span, span, RANK2_POINTS)
         else:
-            n2g = np.linspace(lo2, hi2, spec.n2_points)
+            n2g = np.linspace(lo2, hi2, RANK2_POINTS)
         b1 = np.array([pure_bound(v, sv)[0] for v in n1g])
         b2 = np.array([pure_bound(v, sv)[0] for v in n2g])
         diff = n2g[None, :] - n1g[:, None]
@@ -128,8 +124,7 @@ def rank2_search(n: float, s, grid_spec: Rank2GridSpec | None = None) -> Rank2Ca
             best = Rank2Candidate(n1=float(n1g[i]), n2=float(n2g[j]),
                                   p=float(p[i, j]), value=float(vals[i, j]))
         # shrink both ranges around the current best cell
-        w1 = (hi1 - lo1) / spec.n1_points
-        w2 = (hi2 - lo2) / max(spec.n2_points, 1)
+        w1, w2 = (hi1 - lo1) / RANK2_POINTS, (hi2 - lo2) / RANK2_POINTS
         lo1 = max(0.0, n1g[i] - 2 * w1)
         hi1 = min(n, n1g[i] + 2 * w1)
         lo2 = max(n, n2g[j] - 2 * w2)

@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 invalid arguments, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -27,12 +28,14 @@ def _fmt(x) -> str:
 
 
 def parse_range(text: str, step: float | None) -> list[float]:
-    """Parse 'lo..hi' (needs --step) or a single number."""
+    """Parse 'lo..hi' (finite, lo <= hi, needs --step) or a single number."""
     if ".." in text:
         lo_s, hi_s = text.split("..", 1)
         lo, hi = float(lo_s), float(hi_s)
-        if step is None or step <= 0:
-            raise ValueError("range arguments need a positive --step")
+        if step is None or not 0 < step < math.inf:
+            raise ValueError("range arguments need a positive finite --step")
+        if not (math.isfinite(lo) and math.isfinite(hi)) or hi < lo:
+            raise ValueError(f"range {text!r} needs finite ends with lo <= hi")
         values = []
         v = lo
         while v <= hi + step * 1e-9:
@@ -43,7 +46,10 @@ def parse_range(text: str, step: float | None) -> list[float]:
 
 
 def parse_s_list(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok.strip() != ""]
+    values = [float(tok) for tok in text.split(",") if tok.strip() != ""]
+    if not values:
+        raise ValueError(f"--s {text!r} names no ordering parameter")
+    return values
 
 
 def _write(path: str | None, content: str) -> None:

@@ -10,8 +10,8 @@ of D(beta)S(q)|0> (coherent and squeezed vacua included) follow a three-term
 recurrence in the photon number, and the matrix elements <m|D(beta)S(q)|n>
 follow a recurrence in n seeded by that vector (Miatto & Quesada, Quantum 4,
 366 (2020)). Both are exact at any cutoff: no element depends on levels
-past it, so a Gaussian map needs no enlarged basis and the trace it pushes
-past the cutoff is known exactly.
+past it, so a Gaussian map needs no enlarged basis, the trace it pushes past
+the cutoff is known exactly, and its photon numbers need no mapped matrix.
 """
 
 from __future__ import annotations
@@ -217,22 +217,19 @@ def apply_loss(state: TruncatedState, channel: ChannelSpec) -> TruncatedState:
                           tail_bound=state.tail_bound)
 
 
-def apply_map(state: TruncatedState, gmap: GaussianMapSpec) -> TruncatedState:
-    """Apply the unitary U = D(beta) S(q) to a state, with truncation control.
+def _map_core(state: TruncatedState, gmap: GaussianMapSpec):
+    """G, G rho, mapped photon numbers p' and lost trace for U = D(beta) S(q).
 
-    The block G[m, n] = <m|U|n> on the state's levels is built exactly, one
-    column at a time. Column 0 is U|0>; a^dag U = U (a^dag cosh q + a sinh q
-    + beta*) gives the rest,
+    G[m, n] = <m|U|n> is built exactly, one column at a time: column 0 is
+    U|0>, and a^dag U = U (a^dag cosh q + a sinh q + beta*) gives
 
         sqrt(n+1) G[m, n+1] = (sqrt(m) G[m-1, n] - beta* G[m, n]) / cosh q
                               - tanh q sqrt(n) G[m, n-1],
 
-    which reads no level past the cutoff. The mapped state is G rho G^dag.
-    Since U is unitary, Tr rho - Tr(G rho G^dag) is exactly the trace pushed
-    past the cutoff; it is added to tail_bound.
+    which reads no level past the cutoff. p'_m = Re sum_n (G rho)[m, n]
+    conj(G[m, n]) is the diagonal of G rho G^dag, and since U is unitary
+    Tr rho - sum p' is exactly the trace pushed past the cutoff.
     """
-    if gmap.is_identity:
-        return state
     beta, q = complex(gmap.displacement), float(gmap.squeeze)
     d = state.dim
     root = np.sqrt(np.arange(d))
@@ -247,15 +244,27 @@ def apply_map(state: TruncatedState, gmap: GaussianMapSpec) -> TruncatedState:
             col -= (t * root[n]) * cols[n - 1]
         cols[n + 1] = col / root[n + 1]
     g = cols.T
-    rho = state.matrix
-    sub = g @ rho @ g.conj().T
-    lost = float(np.real(np.trace(rho) - np.trace(sub)))
+    g_rho = g @ state.matrix
+    probs = np.einsum("mn,mn->m", g_rho, g.conj()).real
+    lost = float(np.trace(state.matrix).real) - float(np.sum(probs))
     if lost > MAP_TRUNCATION_LIMIT:
-        raise TruncationError(
-            f"map loses trace {lost:.3e} past cutoff {state.cutoff}"
-        )
-    sub = 0.5 * (sub + sub.conj().T)
-    return TruncatedState(cutoff=state.cutoff, matrix=sub,
+        raise TruncationError(f"map loses trace {lost:.3e} past cutoff {state.cutoff}")
+    return g, g_rho, probs, lost
+
+
+def mapped_photon_probs(state: TruncatedState, gmap: GaussianMapSpec) -> np.ndarray:
+    """Photon-number probabilities of the mapped state: the diagonal of apply_map."""
+    return photon_probs(state) if gmap.is_identity else _map_core(state, gmap)[2]
+
+
+def apply_map(state: TruncatedState, gmap: GaussianMapSpec) -> TruncatedState:
+    """Apply U = D(beta) S(q) as (G rho) G^dag with the exact block G of
+    _map_core; the trace pushed past the cutoff is added to tail_bound."""
+    if gmap.is_identity:
+        return state
+    g, g_rho, _, lost = _map_core(state, gmap)
+    sub = g_rho @ g.conj().T
+    return TruncatedState(cutoff=state.cutoff, matrix=0.5 * (sub + sub.conj().T),
                           tail_bound=state.tail_bound + max(lost, 0.0))
 
 

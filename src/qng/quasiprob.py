@@ -95,7 +95,4 @@ def qs_at(state: TruncatedState, s, alpha: complex) -> float:
 
     Q_s[rho](alpha) equals the origin value of the state displaced by -alpha.
     """
-    if alpha == 0:
-        return qs_origin(state, s)
-    shifted = apply_map(state, GaussianMapSpec(displacement=-alpha))
-    return qs_origin(shifted, s)
+    return qs_origin(apply_map(state, GaussianMapSpec(displacement=-alpha)), s)

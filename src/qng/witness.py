@@ -1,11 +1,11 @@
 """Non-Gaussianity witnesses, optimized Gaussian maps and loss thresholds.
 
 A witness compares the origin quasiprobability of a state against the
-Gaussian-hull bound evaluated at the state's mean photon number; a negative
-difference certifies the state lies outside the hull. The second-criterion
-variant first applies a Gaussian unitary (displacement or squeezing) chosen
-to make the comparison as favourable as possible. Criterion a needs only the
-photon numbers p_m: pure loss eps maps G(z) = sum_m p_m z^m to G(eps + eta z),
+Gaussian-hull bound at the state's mean photon number; a negative difference
+certifies the state lies outside the hull. Both criteria need only photon
+numbers p_m. Criterion b applies a Gaussian unitary (displacement or squeezing)
+chosen to make the comparison most favourable and reads the mapped p_m. For
+criterion a, pure loss eps maps G(z) = sum_m p_m z^m to G(eps + eta z),
 eta = 1 - eps, so Q_s(0) = 2/(pi(1-s)) G(eps - eta (1+s)/(1-s)), n_bar = eta n_bar_0.
 """
 
@@ -18,7 +18,8 @@ from scipy.optimize import minimize_scalar
 
 from .bounds import pure_bound
 from .fock import (ChannelSpec, GaussianMapSpec, TruncatedState, TruncationError,
-                   apply_loss, apply_map, make_fock, make_pac, make_pss, photon_probs)
+                   apply_loss, make_fock, make_pac, make_pss, mapped_photon_probs,
+                   photon_probs)
 from .quasiprob import _coerce_s
 
 
@@ -83,7 +84,7 @@ def delta_a(state: TruncatedState, s, nbar_slack: float = 0.0) -> WitnessReport:
 def delta_b(state: TruncatedState, s, gmap: GaussianMapSpec,
             nbar_slack: float = 0.0) -> WitnessReport:
     """Second-criterion witness: first-criterion witness of the mapped state."""
-    report = delta_a(apply_map(state, gmap), s, nbar_slack=nbar_slack)
+    report = _criterion_a(mapped_photon_probs(state, gmap), s, 0.0, nbar_slack)
     return replace(report, map=gmap)
 
 
@@ -107,12 +108,12 @@ def q_opt(r: float, epsilon: float) -> float:
 
 
 def refine_map(state: TruncatedState, s, seed: GaussianMapSpec,
-               which: str = "displacement", window: float = 1.0,
-               xatol: float = 1e-6) -> GaussianMapSpec:
+               which: str = "displacement") -> GaussianMapSpec:
     """Locally improve the one-parameter map family around a seed.
 
     Minimizes the second-criterion witness over a real displacement or a real
-    squeeze, whichever is selected; never returns a map worse than the seed.
+    squeeze, whichever is selected, within 1 of the seed; never returns a map
+    worse than the seed.
     """
     if which not in ("displacement", "squeeze"):
         raise ValueError(f"unknown parameter family {which!r}")
@@ -120,9 +121,8 @@ def refine_map(state: TruncatedState, s, seed: GaussianMapSpec,
 
     def make(t: float) -> GaussianMapSpec:
         if which == "displacement":
-            return GaussianMapSpec(displacement=complex(t),
-                                   squeeze=seed.squeeze)
-        return GaussianMapSpec(displacement=seed.displacement, squeeze=t)
+            return replace(seed, displacement=complex(t))
+        return replace(seed, squeeze=t)
 
     def objective(t: float) -> float:
         try:
@@ -130,10 +130,9 @@ def refine_map(state: TruncatedState, s, seed: GaussianMapSpec,
         except TruncationError:
             return np.inf
 
-    t0 = (seed.displacement.real if which == "displacement"
-          else seed.squeeze)
-    res = minimize_scalar(objective, bounds=(t0 - window, t0 + window),
-                          method="bounded", options={"xatol": xatol})
+    t0 = seed.displacement.real if which == "displacement" else seed.squeeze
+    res = minimize_scalar(objective, bounds=(t0 - 1.0, t0 + 1.0),
+                          method="bounded", options={"xatol": 1e-6})
     seed_val = objective(t0)
     # demand improvement beyond roundoff so noise never displaces the seed
     if np.isfinite(res.fun) and res.fun < seed_val - 1e-12:

@@ -97,6 +97,24 @@ class TestWitnessCurve:
         assert code == 2  # a curve takes exactly one family member
 
 
+@pytest.mark.parametrize("args", [
+    ["error-bars", "--s", "-1", "--n-avg", "0..1", "--step", "inf"],
+    ["error-bars", "--s", "-1", "--n-avg", "0..1", "--step", "nan"],
+    ["error-bars", "--s", "-1", "--n-avg", "0..inf", "--step", "0.5"],
+    ["witness-curve", "--family", "fock", "--m", "1", "--s", "0",
+     "--eps", "0..nan", "--eps-step", "0.1"],
+    ["witness-curve", "--family", "fock", "--m", "1", "--s", "0",
+     "--eps=-inf..0.5", "--eps-step", "0.1"],
+    ["threshold", "--family", "pac", "--alpha", "3..1", "--s", "0"],
+    ["error-bars", "--s", ",", "--n-avg", "1"],
+], ids=["step-inf", "step-nan", "end-inf", "end-nan", "start-inf",
+        "reversed", "empty-s"])
+def test_bad_range_rejected(args, capsys):
+    code, out = run_cli(args, capsys)
+    assert code == 2
+    assert out == ""
+
+
 class TestErrorBars:
     def test_metadata_and_normalization(self, capsys):
         code, out = run_cli(["error-bars", "--s", "0,-1", "--n-avg", "0",

@@ -9,7 +9,8 @@ from qng.fock import (ChannelSpec, GaussianMapSpec, TruncatedState,
                       TruncationError, apply_loss, apply_map,
                       displaced_squeezed_vector, make_coherent,
                       make_displaced_squeezed, make_fock, make_pac, make_pss,
-                      make_squeezed, mix, moments, photon_probs)
+                      make_squeezed, mapped_photon_probs, mix, moments,
+                      photon_probs)
 
 
 class TestConstructors:
@@ -226,6 +227,16 @@ class TestGaussianMap:
         with pytest.raises(TruncationError):
             apply_map(make_fock(0, 4), GaussianMapSpec(displacement=3.0))
 
+    def test_mapped_photon_probs_excessive_displacement_raises(self):
+        # the same lost-trace check as apply_map
+        with pytest.raises(TruncationError):
+            mapped_photon_probs(make_fock(0, 4), GaussianMapSpec(displacement=3.0))
+
+    def test_mapped_photon_probs_identity(self):
+        st = apply_loss(make_pac(1.5, 40), ChannelSpec(0.3))
+        p = mapped_photon_probs(st, GaussianMapSpec())
+        assert np.array_equal(p, photon_probs(st))
+
     @pytest.mark.parametrize("cutoff,beta,q,state", [
         (40, 1 - 1j, -0.5, "pac"),
         # lossy PAC 1.5 pushes 1.8e-9 past cutoff 80: must fit, not raise
@@ -245,9 +256,13 @@ class TestGaussianMap:
         big = u @ st.matrix @ u.conj().T
         ref = big[: st.dim, : st.dim]
         lost = np.trace(big).real - np.trace(ref).real
-        out = apply_map(st, GaussianMapSpec(displacement=beta, squeeze=q))
+        gmap = GaussianMapSpec(displacement=beta, squeeze=q)
+        out = apply_map(st, gmap)
         assert np.max(np.abs(out.matrix - ref)) < 1e-12
         assert out.tail_bound - st.tail_bound == pytest.approx(lost, abs=1e-12)
+        p = mapped_photon_probs(st, gmap)
+        assert np.max(np.abs(p - np.diag(ref).real)) < 1e-12
+        assert np.trace(st.matrix).real - p.sum() == pytest.approx(lost, abs=1e-12)
 
     def test_displaced_squeezed_constructor(self):
         st = make_displaced_squeezed(0.7 + 0.1j, -0.3, 60)

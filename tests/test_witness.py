@@ -6,9 +6,9 @@ from scipy.optimize import brentq, minimize_scalar
 
 import qng.witness
 from qng.bounds import bound_objective, pure_bound
-from qng.fock import (ChannelSpec, GaussianMapSpec, apply_loss, apply_map,
-                      make_coherent, make_fock, make_pac, make_pss, mix,
-                      moments)
+from qng.fock import (ChannelSpec, GaussianMapSpec, TruncatedState, apply_loss,
+                      apply_map, make_coherent, make_fock, make_pac, make_pss,
+                      mix, moments)
 from qng.witness import (StateFamily, beta_opt, delta_a, delta_b,
                          epsilon_threshold, q_opt, refine_map, witness_at_loss)
 
@@ -132,6 +132,63 @@ class TestDeltaB:
         gmap = GaussianMapSpec(displacement=beta_opt(2.0, 0.6))
         rep = delta_b(st, -1, gmap)
         assert rep.conclusive
+
+
+@pytest.fixture
+def states_built(monkeypatch):
+    """Cutoffs of the TruncatedState objects constructed while it is active."""
+    built = []
+    post_init = TruncatedState.__post_init__
+
+    def counted(self):
+        built.append(self.cutoff)
+        post_init(self)
+
+    monkeypatch.setattr(TruncatedState, "__post_init__", counted)
+    return built
+
+
+LOSSY_MAPPED = [
+    pytest.param(StateFamily("pac", 2.0), 0.6,
+                 GaussianMapSpec(displacement=-1.2), id="pac-displace"),
+    pytest.param(StateFamily("pac", 1.5), 0.3,
+                 GaussianMapSpec(displacement=0.4 - 0.3j, squeeze=0.2),
+                 id="pac-both"),
+    pytest.param(StateFamily("pss", 0.5), 0.8,
+                 GaussianMapSpec(squeeze=q_opt(0.5, 0.8)), id="pss-squeeze"),
+    pytest.param(StateFamily("pss", 1.0), 0.4,
+                 GaussianMapSpec(displacement=0.1, squeeze=-0.3), id="pss-both"),
+]
+
+
+class TestCriterionBFromPhotonNumbers:
+    @pytest.mark.parametrize("family,eps,gmap", LOSSY_MAPPED)
+    @pytest.mark.parametrize("s", [0, -1, -2])
+    def test_matches_mapped_matrix(self, family, eps, gmap, s):
+        # the mapped density matrix is the oracle of the photon-number path
+        lossy = apply_loss(family.build(80), ChannelSpec(eps))
+        fast = delta_b(lossy, s, gmap, nbar_slack=0.1)
+        oracle = delta_a(apply_map(lossy, gmap), s, nbar_slack=0.1)
+        assert abs(fast.delta - oracle.delta) <= 1e-12
+        assert abs(fast.q_value - oracle.q_value) <= 1e-12
+        assert abs(fast.n_bar - oracle.n_bar) <= 1e-12
+        assert fast.map == gmap
+
+    @pytest.mark.parametrize("family,eps,gmap", LOSSY_MAPPED)
+    def test_delta_b_builds_no_state(self, family, eps, gmap, states_built):
+        lossy = apply_loss(family.build(80), ChannelSpec(eps))
+        del states_built[:]
+        delta_b(lossy, -1, gmap)
+        assert states_built == []
+
+    @pytest.mark.parametrize("family", [StateFamily("pac", 2.0),
+                                        StateFamily("pss", 0.5)],
+                             ids=lambda f: f.kind)
+    def test_witness_at_loss_builds_family_and_lossy_state(self, family,
+                                                           states_built):
+        rep = witness_at_loss(family, -1, 0.6, "b")
+        assert not rep.map.is_identity
+        assert states_built == [80, 80]
 
 
 class TestSeeds:
