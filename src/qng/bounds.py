@@ -147,11 +147,21 @@ class BoundCurve:
         return buf.getvalue()
 
 
+MAX_GRID_POINTS = 1_000_000  # longest grid a bound table or a CLI range may hold
+
+
+def _grid(n_max: float, step: float) -> np.ndarray:
+    """0, step, 2 step, ... up to n_max, refused above MAX_GRID_POINTS values."""
+    if (n_max + step / 2) / step > MAX_GRID_POINTS:
+        raise ValueError(f"n_max / step exceeds {MAX_GRID_POINTS} grid points")
+    return np.arange(0.0, n_max + step / 2, step)
+
+
 def build_bound_curve(s, n_max: float, step: float) -> BoundCurve:
     sv = _coerce_s(s)
     if step <= 0 or n_max < 0:
         raise ValueError("need step > 0 and n_max >= 0")
-    grid = np.arange(0.0, n_max + step / 2, step)
+    grid = _grid(n_max, step)
     samples = []
     for n in grid:
         b, m = pure_bound(float(n), sv)
@@ -176,7 +186,7 @@ def convexity_check(s, n_max: float, step: float,
     sv = _coerce_s(s)
     if step <= 0:
         raise ValueError("step must be > 0")
-    grid = np.arange(0.0, n_max + step / 2, step)
+    grid = _grid(n_max, step)
     b = np.array([pure_bound(float(n), sv)[0] for n in grid])
     second = b[:-2] - 2.0 * b[1:-1] + b[2:]
     deficit = float(-second.min()) if second.size else 0.0

@@ -11,7 +11,7 @@ import math
 import os
 import sys
 
-from .bounds import build_bound_curve
+from .bounds import MAX_GRID_POINTS, build_bound_curve
 from .error_model import ErrorSpec, bound_error_curve
 from .fock import TruncationError
 from .witness import StateFamily, epsilon_threshold, witness_at_loss
@@ -36,10 +36,15 @@ def parse_range(text: str, step: float | None) -> list[float]:
             raise ValueError("range arguments need a positive finite --step")
         if not (math.isfinite(lo) and math.isfinite(hi)) or hi < lo:
             raise ValueError(f"range {text!r} needs finite ends with lo <= hi")
+        if (hi - lo) / step + 1 > MAX_GRID_POINTS:
+            raise ValueError(f"range {text!r} with step {step:g} exceeds "
+                             f"{MAX_GRID_POINTS} values")
         values = []
         v = lo
         while v <= hi + step * 1e-9:
             values.append(round(v, 12))
+            if v + step == v:
+                raise ValueError(f"step {step:g} does not advance range {text!r}")
             v += step
         return values
     return [float(text)]

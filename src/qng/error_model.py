@@ -7,10 +7,11 @@ normalized so the noiseless bound equals 1 at n_avg = 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import poisson
+from scipy.special import gammaln, pdtr, pdtrik, xlogy
 
 from .bounds import bound_at_zero, pure_bound
 from .quasiprob import _coerce_s
@@ -47,9 +48,13 @@ def normalized_bound_stats(s, n_avg: float, k: int) -> tuple[float, float]:
     if n_avg == 0:
         return 1.0, 0.0
     lam = k * n_avg
-    n_hi = int(poisson.ppf(POISSON_MASS, lam))
+    # Poisson quantile and pmf in the form of scipy.stats.poisson's _ppf and
+    # _pmf, without importing scipy.stats
+    n_hi = math.ceil(pdtrik(POISSON_MASS, lam))
+    if n_hi > 0 and pdtr(n_hi - 1, lam) >= POISSON_MASS:
+        n_hi -= 1
     counts = np.arange(n_hi + 1)
-    weights = poisson.pmf(counts, lam)
+    weights = np.exp(xlogy(counts, lam) - gammaln(counts + 1) - lam)
     values = np.array([pure_bound(c / k, sv)[0] for c in counts]) / scale
     total = weights.sum()
     mean = float(np.dot(weights, values) / total)

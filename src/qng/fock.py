@@ -12,6 +12,14 @@ follow a recurrence in n seeded by that vector (Miatto & Quesada, Quantum 4,
 366 (2020)). Both are exact at any cutoff: no element depends on levels
 past it, so a Gaussian map needs no enlarged basis, the trace it pushes past
 the cutoff is known exactly, and its photon numbers need no mapped matrix.
+
+Validation runs at the boundary only: a TruncatedState built from a caller's
+matrix is checked in full (shape, Hermitian, trace, positive semidefinite),
+while the states this module builds (pure states, loss, maps, mixtures) are
+positive semidefinite by construction and have only their trace checked.
+Real states stay real: a matrix with real entries is stored as float64, and
+loss and real maps act on it in real arithmetic; complex inputs run the same
+code in complex128.
 """
 
 from __future__ import annotations
@@ -21,6 +29,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 from scipy.special import gammaln
 
 HERMITICITY_TOL = 1e-10
@@ -64,14 +73,18 @@ class GaussianMapSpec:
 
 @dataclass(frozen=True)
 class TruncatedState:
-    """Density matrix on Fock levels 0..cutoff with declared tail mass."""
+    """Density matrix on Fock levels 0..cutoff with declared tail mass.
+
+    Construction validates the matrix in full; a real matrix stays real.
+    """
 
     cutoff: int
     matrix: np.ndarray = field(repr=False)
     tail_bound: float = 0.0
 
     def __post_init__(self):
-        rho = np.asarray(self.matrix, dtype=complex)
+        rho = np.asarray(self.matrix)
+        rho = rho.astype(float if rho.dtype.kind in "biuf" else complex, copy=False)
         if self.cutoff < 1:
             raise ValueError("cutoff must be >= 1")
         if rho.shape != (self.cutoff + 1, self.cutoff + 1):
@@ -83,11 +96,7 @@ class TruncatedState:
         herm = np.max(np.abs(rho - rho.conj().T))
         if herm > HERMITICITY_TOL:
             raise ValueError(f"matrix not Hermitian (deviation {herm:.3e})")
-        tr = float(np.real(np.trace(rho)))
-        if not (1.0 - self.tail_bound - TRACE_TOL <= tr <= 1.0 + TRACE_TOL):
-            raise ValueError(
-                f"trace {tr} incompatible with tail_bound {self.tail_bound}"
-            )
+        _check_trace(rho, self.tail_bound)
         lam_min = float(np.linalg.eigvalsh(rho)[0])
         if lam_min < -EIGVAL_TOL:
             raise ValueError(f"matrix not positive semidefinite ({lam_min:.3e})")
@@ -98,13 +107,34 @@ class TruncatedState:
         return self.cutoff + 1
 
 
+def _check_trace(rho: np.ndarray, tail_bound: float) -> None:
+    tr = float(np.real(np.trace(rho)))
+    if not (1.0 - tail_bound - TRACE_TOL <= tr <= 1.0 + TRACE_TOL):
+        raise ValueError(f"trace {tr} incompatible with tail_bound {tail_bound}")
+
+
+def _trusted_state(cutoff: int, rho: np.ndarray, tail_bound: float) -> TruncatedState:
+    """State from a matrix that is Hermitian and PSD by construction.
+
+    Only the trace is checked; __post_init__ and its eigendecomposition are
+    skipped.
+    """
+    _check_trace(rho, tail_bound)
+    state = object.__new__(TruncatedState)
+    for name, value in (("cutoff", cutoff), ("matrix", rho),
+                        ("tail_bound", tail_bound)):
+        object.__setattr__(state, name, value)
+    return state
+
+
 def _state_from_vector(psi: np.ndarray, cutoff: int, what: str) -> TruncatedState:
     """Pure state |psi><psi|; the norm missing from psi is its tail."""
     tail = max(0.0, 1.0 - float(np.sum(np.abs(psi) ** 2)))
     if tail >= TRUNCATION_LIMIT:
         raise TruncationError(f"cutoff {cutoff} leaves tail {tail:.3e} for {what}")
-    return TruncatedState(cutoff=cutoff, matrix=np.outer(psi, psi.conj()),
-                          tail_bound=tail)
+    if cutoff < 1:
+        raise ValueError("cutoff must be >= 1")
+    return _trusted_state(cutoff, np.outer(psi, psi.conj()), tail)
 
 
 def make_fock(m: int, cutoff: int) -> TruncatedState:
@@ -113,7 +143,7 @@ def make_fock(m: int, cutoff: int) -> TruncatedState:
         raise ValueError("m must be >= 0")
     if m > cutoff:
         raise TruncationError(f"cutoff {cutoff} too small for Fock state |{m}>")
-    psi = np.zeros(cutoff + 1, dtype=complex)
+    psi = np.zeros(cutoff + 1)
     psi[m] = 1.0
     return _state_from_vector(psi, cutoff, f"Fock state |{m}>")
 
@@ -127,7 +157,7 @@ def make_coherent(alpha: complex, cutoff: int) -> TruncatedState:
 def make_pac(alpha: float, cutoff: int) -> TruncatedState:
     """Photon-added coherent state, normalized a^dag |alpha>."""
     c = displaced_squeezed_vector(alpha, 0.0, cutoff)
-    psi = np.zeros(cutoff + 1, dtype=complex)
+    psi = np.zeros(cutoff + 1, dtype=c.dtype)
     psi[1:] = c[:-1] * np.sqrt(np.arange(1, cutoff + 1))
     # exact norm of a^dag|alpha> is sqrt(1 + |alpha|^2)
     psi /= np.sqrt(1.0 + abs(alpha) ** 2)
@@ -169,6 +199,7 @@ def displaced_squeezed_vector(beta: complex, q: float, cutoff: int) -> np.ndarra
     gives an exact three-term recurrence seeded by the closed-form vacuum
     overlap; every returned amplitude is exact at the cutoff. The seed's
     magnitude (0.0 past |beta| ~ 38) and exact rescalings enter per term as logs.
+    The amplitudes are real, and returned as float64, when beta is real.
     """
     beta = complex(beta)
     mu, nu = math.cosh(q), math.sinh(q)
@@ -185,14 +216,17 @@ def displaced_squeezed_vector(beta: complex, q: float, cutoff: int) -> np.ndarra
             c, prev = c / RESCALE_AT, prev / RESCALE_AT
             log_scale[n + 1:] += math.log(RESCALE_AT)
         amps.append(c)
-    return np.array(amps, dtype=complex) * np.exp(log_scale)
+    amps = np.array(amps, dtype=complex) * np.exp(log_scale)
+    # a real beta leaves every imaginary part exactly 0
+    return np.ascontiguousarray(amps.real) if beta.imag == 0 else amps
 
 
 def apply_loss(state: TruncatedState, channel: ChannelSpec) -> TruncatedState:
     """Pure-loss (amplitude damping) channel with lost fraction epsilon.
 
     Operator-sum form: the Kraus operator removing l photons has elements
-    K_l[m-l, m] = sqrt(C(m, l) (1-eps)^{m-l} eps^l).
+    K_l[m-l, m] = sqrt(C(m, l) (1-eps)^{m-l} eps^l). All weights come from
+    one table of log factorials; each l is then one update of the output.
     """
     eps = channel.epsilon
     if eps == 0:
@@ -200,21 +234,20 @@ def apply_loss(state: TruncatedState, channel: ChannelSpec) -> TruncatedState:
     d = state.dim
     rho = state.matrix
     eta = 1.0 - eps
+    kept = np.arange(d)
+    lost = kept[:, None]
+    log_fact = gammaln(np.arange(1, 2 * d))  # log m! for m = 0..2d-2
+    # w[l, k] = sqrt(C(k + l, l) eta^k eps^l), the weight of K_l[k, k + l]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logw = (log_fact[kept + lost] - log_fact[kept] - log_fact[lost]
+                + np.where(kept > 0, kept * np.log(eta), 0.0)) + lost * np.log(eps)
+    w = np.sqrt(np.exp(logw))
     out = np.zeros_like(rho)
-    for loss in range(d):
-        keep = np.arange(d - loss)
-        # log of C(m, l) (1-eps)^{m-l} eps^l for m = keep + loss
-        logc = (gammaln(keep + loss + 1) - gammaln(keep + 1) - gammaln(loss + 1))
-        with np.errstate(divide="ignore"):
-            logw = logc + keep * np.log(eta) if eta > 0 else np.where(
-                keep == 0, logc, -np.inf)
-            logw = logw + (loss * np.log(eps) if eps > 0 else 0.0)
-        w = np.sqrt(np.exp(logw))
-        block = rho[loss:, loss:]
-        out[: d - loss, : d - loss] += (w[:, None] * block) * w[None, :]
+    for n, wn in enumerate(w):  # n photons lost
+        k = d - n
+        out[:k, :k] += (wn[:k, None] * rho[n:, n:]) * wn[:k]
     out = 0.5 * (out + out.conj().T)
-    return TruncatedState(cutoff=state.cutoff, matrix=out,
-                          tail_bound=state.tail_bound)
+    return _trusted_state(state.cutoff, out, state.tail_bound)
 
 
 def _map_core(state: TruncatedState, gmap: GaussianMapSpec):
@@ -228,25 +261,34 @@ def _map_core(state: TruncatedState, gmap: GaussianMapSpec):
 
     which reads no level past the cutoff. p'_m = Re sum_n (G rho)[m, n]
     conj(G[m, n]) is the diagonal of G rho G^dag, and since U is unitary
-    Tr rho - sum p' is exactly the trace pushed past the cutoff.
+    Tr rho - sum p' is exactly the trace pushed past the cutoff. G is real
+    when beta is real, so a real state is mapped in real arithmetic.
     """
     beta, q = complex(gmap.displacement), float(gmap.squeeze)
+    beta_conj = beta.real if beta.imag == 0 else beta.conjugate()
     d = state.dim
     root = np.sqrt(np.arange(d))
     inv_mu, t = 1.0 / math.cosh(q), math.tanh(q)
-    cols = np.empty((d, d), dtype=complex)  # cols[n] = G[:, n]
-    cols[0] = displaced_squeezed_vector(beta, q, d - 1)
-    for n in range(d - 1):
-        col = -beta.conjugate() * cols[n]
-        col[1:] += root[1:] * cols[n, :-1]
-        col *= inv_mu
-        if n > 0:
-            col -= (t * root[n]) * cols[n - 1]
-        cols[n + 1] = col / root[n + 1]
-    g = cols.T
-    g_rho = g @ state.matrix
-    probs = np.einsum("mn,mn->m", g_rho, g.conj()).real
-    lost = float(np.trace(state.matrix).real) - float(np.sum(probs))
+    # rows holds a zero row, then z_0, y_0, z_1, y_1, ... with y_n = G[:, n]
+    # and z_n[m] = sqrt(m) G[m-1, n], so the recurrence is one dot product:
+    # y_{n+1} = coef[n] . (y_{n-1}, z_n, y_n), the rows rows[2n:2n+3].
+    first = displaced_squeezed_vector(beta, q, d - 1)
+    rows = np.zeros((2 * d + 1, d), dtype=first.dtype)
+    rows[2] = first
+    rows[1, 1:] = root[1:] * first[:-1]
+    coef = np.stack([-t * root[:-1], np.full(d - 1, inv_mu),
+                     np.full(d - 1, -beta_conj * inv_mu)], axis=1) / root[1:, None]
+    step, width = rows.strides
+    windows = as_strided(rows, shape=(d - 1, 3, d), strides=(2 * step, step, width),
+                         writeable=False)
+    for c, window, y, z in zip(coef, windows, rows[4::2], rows[3::2, 1:]):
+        np.dot(c, window, out=y)
+        np.multiply(root[1:], y[:-1], out=z)
+    g = rows[2::2].T
+    rho = state.matrix
+    g_rho = g @ rho
+    probs = (g_rho * g.conj()).real.sum(axis=1)
+    lost = float(np.trace(rho).real) - float(np.sum(probs))
     if lost > MAP_TRUNCATION_LIMIT:
         raise TruncationError(f"map loses trace {lost:.3e} past cutoff {state.cutoff}")
     return g, g_rho, probs, lost
@@ -264,8 +306,8 @@ def apply_map(state: TruncatedState, gmap: GaussianMapSpec) -> TruncatedState:
         return state
     g, g_rho, _, lost = _map_core(state, gmap)
     sub = g_rho @ g.conj().T
-    return TruncatedState(cutoff=state.cutoff, matrix=0.5 * (sub + sub.conj().T),
-                          tail_bound=state.tail_bound + max(lost, 0.0))
+    return _trusted_state(state.cutoff, 0.5 * (sub + sub.conj().T),
+                          state.tail_bound + max(lost, 0.0))
 
 
 def mix(states: list[TruncatedState], weights: list[float]) -> TruncatedState:
@@ -279,7 +321,7 @@ def mix(states: list[TruncatedState], weights: list[float]) -> TruncatedState:
         raise ValueError("all states must share the same cutoff")
     rho = sum(w * s.matrix for w, s in zip(weights, states))
     tail = sum(w * s.tail_bound for w, s in zip(weights, states))
-    return TruncatedState(cutoff=cutoff, matrix=rho, tail_bound=tail)
+    return _trusted_state(cutoff, rho, tail)
 
 
 def photon_probs(state: TruncatedState) -> np.ndarray:

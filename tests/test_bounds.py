@@ -139,3 +139,12 @@ class TestBoundCurve:
         b = [row[1] for row in curve.samples]
         assert all(x > y for x, y in zip(b, b[1:]))
         assert all(x > 0 for x in b)
+
+
+@pytest.mark.parametrize("table", [build_bound_curve, convexity_check])
+def test_huge_grid_rejected(table):
+    # 1e17 points would need an array of 711 PiB
+    with pytest.raises(ValueError, match="grid points"):
+        table(0, 1e17, 1)
+    with pytest.raises(ValueError, match="grid points"):
+        table(0, 1.0, 1e-300)

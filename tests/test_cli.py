@@ -115,6 +115,36 @@ def test_bad_range_rejected(args, capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("args", [
+    ["error-bars", "--s", "-1", "--n-avg", "1e17..1e17", "--step", "1"],
+    # 2**53 + 1 rounds back to 2**53, so the range stops advancing midway
+    ["error-bars", "--s", "-1", "--n-avg",
+     "9007199254740982..9007199254740999", "--step", "1"],
+    ["error-bars", "--s", "-1", "--n-avg", "0..1", "--step", "1e-300"],
+    ["witness-curve", "--family", "fock", "--m", "1", "--s", "0",
+     "--eps", "0..1", "--eps-step", "1e-7"],
+    ["bound-curve", "--s", "0", "--n-max", "1e17", "--step", "1"],
+], ids=["no-progress", "stalls", "too-many", "eps-too-many", "bound-curve"])
+def test_huge_grid_rejected(args, capsys):
+    code = main(args)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
+def test_long_range_kept_by_accumulation():
+    from qng.bounds import MAX_GRID_POINTS
+    from qng.cli import parse_range
+    values = parse_range("0..1", 1e-5)
+    assert len(values) == 100_001 <= MAX_GRID_POINTS
+    v, expected = 0.0, []
+    while v <= 1.0 + 1e-14:
+        expected.append(round(v, 12))
+        v += 1e-5
+    assert values == expected
+
+
 class TestErrorBars:
     def test_metadata_and_normalization(self, capsys):
         code, out = run_cli(["error-bars", "--s", "0,-1", "--n-avg", "0",

@@ -1,9 +1,15 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import qng
 from qng.bounds import bound_at_zero, pure_bound
-from qng.error_model import (BoundErrorRow, ErrorSpec, bound_error_curve,
-                             normalized_bound_stats)
+from qng.error_model import (POISSON_MASS, BoundErrorRow, ErrorSpec,
+                             bound_error_curve, normalized_bound_stats)
 
 
 def test_spec_validation():
@@ -74,3 +80,29 @@ def test_curve_rows_structure():
     assert len(rows) == 4
     assert isinstance(rows[0], BoundErrorRow)
     assert rows[0].n_avg == 0 and rows[0].mean == 1.0
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    code = "import sys, qng.cli; print('scipy.stats' in sys.modules)"
+    src = str(Path(qng.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
+
+
+@pytest.mark.parametrize("k", [1, 7, 100, 1000])
+def test_matches_scipy_stats_poisson(k):
+    from scipy.stats import poisson
+
+    for s in [0, -1]:
+        scale = bound_at_zero(s)
+        for n_avg in [1e-6, 0.01, 0.25, 1.0, 2.5]:
+            lam = k * n_avg
+            counts = np.arange(int(poisson.ppf(POISSON_MASS, lam)) + 1)
+            weights = poisson.pmf(counts, lam)
+            values = np.array([pure_bound(c / k, s)[0] for c in counts]) / scale
+            mean = float(np.dot(weights, values) / weights.sum())
+            second = float(np.dot(weights, values**2) / weights.sum())
+            std = float(np.sqrt(max(second - mean**2, 0.0)))
+            assert normalized_bound_stats(s, n_avg, k) == (mean, std)

@@ -117,6 +117,30 @@ class TestStateValidation:
         with pytest.raises(ValueError):
             TruncatedState(cutoff=2, matrix=rho, tail_bound=0.0)
 
+    def test_caller_matrix_is_decomposed_once(self, eigvalsh_calls):
+        TruncatedState(cutoff=2, matrix=np.diag([0.5, 0.5, 0.0]))
+        assert eigvalsh_calls == [(3, 3)]
+
+    def test_built_states_are_not_decomposed(self, eigvalsh_calls):
+        st = mix([make_pss(0.5, 40), make_coherent(1 + 1j, 40)], [0.3, 0.7])
+        st = apply_loss(st, ChannelSpec(0.4))
+        apply_map(st, GaussianMapSpec(displacement=0.3, squeeze=-0.2))
+        assert eigvalsh_calls == []
+
+    @pytest.mark.parametrize("matrix,dtype", [
+        (np.diag([0.5, 0.5, 0.0]), np.float64),
+        (np.diag([1, 0, 0]), np.float64),
+        (np.diag([0.5, 0.5, 0.0]).astype(complex), np.complex128),
+        (np.array([[0.5, 0.5j, 0], [-0.5j, 0.5, 0], [0, 0, 0]], dtype=object),
+         np.complex128),
+    ])
+    def test_real_matrix_stays_real(self, matrix, dtype):
+        assert TruncatedState(cutoff=2, matrix=matrix).matrix.dtype == dtype
+
+    def test_cutoff_below_one_rejected(self):
+        with pytest.raises(ValueError):
+            make_fock(0, 0)
+
 
 class TestLoss:
     def test_single_photon(self):
@@ -172,6 +196,86 @@ class TestLoss:
         out = apply_loss(st, ChannelSpec(0.6))
         assert np.trace(out.matrix).real == pytest.approx(
             np.trace(st.matrix).real, abs=1e-8)
+
+
+def loss_oracle(rho, eps):
+    """The operator sum of apply_loss, one Kraus operator at a time."""
+    d = rho.shape[0]
+    eta = 1.0 - eps
+    out = np.zeros_like(rho)
+    for loss in range(d):
+        keep = np.arange(d - loss)
+        # log of C(m, l) (1-eps)^{m-l} eps^l for m = keep + loss
+        logc = (gammaln(keep + loss + 1) - gammaln(keep + 1) - gammaln(loss + 1))
+        with np.errstate(divide="ignore"):
+            logw = logc + keep * np.log(eta) if eta > 0 else np.where(
+                keep == 0, logc, -np.inf)
+            logw = logw + (loss * np.log(eps) if eps > 0 else 0.0)
+        w = np.sqrt(np.exp(logw))
+        block = rho[loss:, loss:]
+        out[: d - loss, : d - loss] += (w[:, None] * block) * w[None, :]
+    return 0.5 * (out + out.conj().T)
+
+
+FAMILY_STATES = {
+    "coherent": lambda cutoff, x: make_coherent(x * np.exp(0.7j), cutoff),
+    "pss": lambda cutoff, x: make_pss(x / 4, cutoff),
+    "pac": lambda cutoff, x: make_pac(x, cutoff),
+}
+
+
+class TestLossWeightsInOneArray:
+    @pytest.mark.parametrize("kind", sorted(FAMILY_STATES))
+    @pytest.mark.parametrize("eps", [1e-12, 0.3, 0.999, 1.0])
+    @pytest.mark.parametrize("cutoff", [1, 2, 80])
+    def test_matches_kraus_loop(self, kind, eps, cutoff):
+        # small amplitudes where the cutoff is small, so the state fits
+        st = FAMILY_STATES[kind](cutoff, 2.0 if cutoff == 80 else 1e-4)
+        out = apply_loss(st, ChannelSpec(eps))
+        ref = loss_oracle(st.matrix, eps)
+        assert out.matrix.dtype == st.matrix.dtype
+        assert np.max(np.abs(out.matrix - ref)) <= 1e-15
+        assert out.tail_bound == st.tail_bound
+
+
+class TestRealStatesStayReal:
+    @pytest.mark.parametrize("st", [make_fock(2, 30), make_pss(0.5, 60),
+                                    make_pac(1.5, 60),
+                                    make_displaced_squeezed(0.4, -0.3, 60)],
+                             ids=["fock", "pss", "pac", "gaussian"])
+    def test_real_families_are_real(self, st):
+        assert st.matrix.dtype == np.float64
+
+    def test_complex_coherent_is_complex(self):
+        assert make_coherent(1 + 1j, 40).matrix.dtype == np.complex128
+
+    @pytest.mark.parametrize("gmap", [
+        GaussianMapSpec(displacement=-1.2),
+        GaussianMapSpec(squeeze=-0.4),
+        GaussianMapSpec(displacement=complex(0.3), squeeze=0.2),
+        GaussianMapSpec(displacement=0.4 - 0.3j, squeeze=0.2),
+    ], ids=["displace", "squeeze", "both", "complex"])
+    @pytest.mark.parametrize("family", [lambda: make_pss(0.5, 80),
+                                        lambda: make_pac(1.5, 80)],
+                             ids=["pss", "pac"])
+    def test_real_matches_complex(self, family, gmap):
+        real = family()
+        cplx = TruncatedState(cutoff=real.cutoff,
+                              matrix=real.matrix.astype(complex),
+                              tail_bound=real.tail_bound)
+        lossy_r = apply_loss(real, ChannelSpec(0.3))
+        lossy_c = apply_loss(cplx, ChannelSpec(0.3))
+        assert lossy_r.matrix.dtype == np.float64
+        assert lossy_c.matrix.dtype == np.complex128
+        assert np.max(np.abs(lossy_r.matrix - lossy_c.matrix)) <= 1e-13
+        p_r = mapped_photon_probs(lossy_r, gmap)
+        p_c = mapped_photon_probs(lossy_c, gmap)
+        assert np.max(np.abs(p_r - p_c)) <= 1e-13
+        out_r, out_c = apply_map(lossy_r, gmap), apply_map(lossy_c, gmap)
+        real_map = gmap.displacement.imag == 0
+        assert out_r.matrix.dtype == (np.float64 if real_map else np.complex128)
+        assert np.max(np.abs(out_r.matrix - out_c.matrix)) <= 1e-13
+        assert out_r.tail_bound == pytest.approx(out_c.tail_bound, abs=1e-13)
 
 
 class TestGaussianMap:

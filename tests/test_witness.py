@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 from scipy.optimize import brentq, minimize_scalar
 
+import qng.fock
 import qng.witness
 from qng.bounds import bound_objective, pure_bound
 from qng.fock import (ChannelSpec, GaussianMapSpec, TruncatedState, apply_loss,
@@ -136,15 +137,22 @@ class TestDeltaB:
 
 @pytest.fixture
 def states_built(monkeypatch):
-    """Cutoffs of the TruncatedState objects constructed while it is active."""
+    """Cutoffs of the TruncatedState objects constructed while it is active,
+    both validated from a caller's matrix and built on the trusted path."""
     built = []
     post_init = TruncatedState.__post_init__
+    trusted = qng.fock._trusted_state
 
     def counted(self):
         built.append(self.cutoff)
         post_init(self)
 
+    def counted_trusted(cutoff, rho, tail_bound):
+        built.append(cutoff)
+        return trusted(cutoff, rho, tail_bound)
+
     monkeypatch.setattr(TruncatedState, "__post_init__", counted)
+    monkeypatch.setattr(qng.fock, "_trusted_state", counted_trusted)
     return built
 
 
@@ -189,6 +197,14 @@ class TestCriterionBFromPhotonNumbers:
         rep = witness_at_loss(family, -1, 0.6, "b")
         assert not rep.map.is_identity
         assert states_built == [80, 80]
+
+    @pytest.mark.parametrize("family", [StateFamily("pac", 2.0),
+                                        StateFamily("pss", 0.5)],
+                             ids=lambda f: f.kind)
+    def test_no_eigendecomposition(self, family, eigvalsh_calls):
+        witness_at_loss(family, -1, 0.6, "b")
+        epsilon_threshold(family, -1, "b", tol=1e-2)
+        assert eigvalsh_calls == []
 
 
 class TestSeeds:
