@@ -1,10 +1,10 @@
 """Lower bounds of origin quasiprobabilities on the Gaussian convex hull.
 
 The pure-state bound at mean photon number n minimizes, over the squeezing
-fraction m in [0, n], the worst-case pure Gaussian origin value with the
-phases locked at their extremal relation (2 theta - phi = pi). Rank-2
-mixtures are searched separately to confirm they cannot undercut the
-pure-state bound at working precision.
+fraction m in [0, n], the worst-case pure Gaussian origin value (the closed
+form of qng.quasiprob) with the phases at their extremal relation 2 theta - phi
+= pi. Rank-2 mixtures are searched separately to confirm they cannot undercut
+the pure-state bound at working precision.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .quasiprob import _coerce_s
+from .quasiprob import _coerce_s, _pure_gaussian_origin
 
 
 def bound_at_zero(s) -> float:
@@ -32,10 +32,8 @@ def wigner_bound_closed(n: float) -> float:
 
 
 def bound_objective(m: float, n: float, s: float) -> float:
-    """Origin value of the extremal-phase pure Gaussian state at split m."""
-    d = 1.0 + s * (s - 2.0 - 4.0 * m)
-    num = (n - m) * (1.0 + 2.0 * m + 2.0 * np.sqrt(m * (1.0 + m)) - s)
-    return 2.0 * np.exp(-2.0 * num / d) / (np.pi * np.sqrt(d))
+    """Origin value of the extremal-phase pure Gaussian at split m (arrays too)."""
+    return _pure_gaussian_origin(n, m, s, -1.0)
 
 
 def pure_bound(n: float, s) -> tuple[float, float]:

@@ -1,7 +1,7 @@
 """Command-line front end emitting CSV data for bound curves, witness scans,
 loss thresholds and error bands.
 
-Exit codes: 0 success, 2 invalid arguments, 3 numerical failure.
+Exit codes: 0 success, 2 invalid arguments, 3 numerical failure or no memory.
 """
 
 from __future__ import annotations
@@ -200,7 +200,7 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (TruncationError, ArithmeticError) as exc:
+    except (TruncationError, ArithmeticError, MemoryError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

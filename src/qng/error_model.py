@@ -2,7 +2,8 @@
 
 The total photon count over k trials is modeled as Poisson(k * n_avg); the
 hull bound is averaged exactly over that distribution and each curve is
-normalized so the noiseless bound equals 1 at n_avg = 0.
+normalized so the noiseless bound equals 1 at n_avg = 0. A distribution whose
+support needs more than bounds.MAX_GRID_POINTS counts is refused.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln, pdtr, pdtrik, xlogy
 
-from .bounds import bound_at_zero, pure_bound
+from .bounds import MAX_GRID_POINTS, bound_at_zero, pure_bound
 from .quasiprob import _coerce_s
 
 POISSON_MASS = 1.0 - 1e-12
@@ -50,7 +51,11 @@ def normalized_bound_stats(s, n_avg: float, k: int) -> tuple[float, float]:
     lam = k * n_avg
     # Poisson quantile and pmf in the form of scipy.stats.poisson's _ppf and
     # _pmf, without importing scipy.stats
-    n_hi = math.ceil(pdtrik(POISSON_MASS, lam))
+    quantile = pdtrik(POISSON_MASS, lam)
+    if not quantile < MAX_GRID_POINTS:  # NaN fails this too
+        raise ValueError(f"Poisson mean k*n_avg = {lam:g} needs over "
+                         f"{MAX_GRID_POINTS} counts")
+    n_hi = math.ceil(quantile)
     if n_hi > 0 and pdtr(n_hi - 1, lam) >= POISSON_MASS:
         n_hi -= 1
     counts = np.arange(n_hi + 1)

@@ -3,7 +3,9 @@
 Only orderings s <= 0 are supported: s = 0 is the Wigner function (parity
 average), s = -1 the Husimi Q-function (vacuum projection / pi). For s < -1
 the value corresponds to an inefficient vacuum detection with efficiency
-2/(1-s); the exact heterodyne rescaling constant is not modeled here.
+2/(1-s); the exact heterodyne rescaling constant is not modeled here. The
+witnesses and the hull bound share the photon-number series and the pure-Gaussian
+closed form written here.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import GaussianMapSpec, TruncatedState, apply_map, photon_probs
+from .fock import GaussianMapSpec, TruncatedState, mapped_photon_probs, photon_probs
 
 
 @dataclass(frozen=True)
@@ -57,17 +59,20 @@ def qs_fock(m: int, s) -> float:
     return 2.0 / (np.pi * (1.0 - sv)) * (-1.0) ** m * ((1.0 + sv) / (1.0 - sv)) ** m
 
 
+def _origin_series(p: np.ndarray, sv: float, epsilon: float = 0.0) -> float:
+    """Origin value 2/(pi(1-s)) sum_m x^m p_m of photon numbers p after pure
+    loss epsilon, x = eps - (1-eps)(1+s)/(1-s) (from G(z) -> G(eps + (1-eps) z))."""
+    x = epsilon - (1.0 - epsilon) * (1.0 + sv) / (1.0 - sv)
+    return float(2.0 / (np.pi * (1.0 - sv)) * np.dot(x ** np.arange(p.size), p))
+
+
 def qs_origin(state: TruncatedState, s) -> float:
     """Quasiprobability at the origin from the photon-number distribution.
 
     Alternating series 2/(pi(1-s)) sum_m (-1)^m ((1+s)/(1-s))^m p_m; the
     truncation error is at most tail_bound * 2/(pi(1-s)).
     """
-    sv = _coerce_s(s)
-    p = photon_probs(state)
-    m = np.arange(p.size)
-    ratio = (1.0 + sv) / (1.0 - sv)
-    return float(2.0 / (np.pi * (1.0 - sv)) * np.dot((-ratio) ** m, p))
+    return _origin_series(photon_probs(state), _coerce_s(s))
 
 
 def qs_origin_error(state: TruncatedState, s) -> float:
@@ -76,23 +81,24 @@ def qs_origin_error(state: TruncatedState, s) -> float:
     return state.tail_bound * 2.0 / (np.pi * (1.0 - sv))
 
 
-def qs_pure_gaussian(p: PureGaussianParam, s) -> float:
-    """Origin quasiprobability of the pure Gaussian state given by p.
+def _pure_gaussian_origin(n, m, sv: float, cos_phase):
+    """Pure Gaussian origin value, on arrays too: 2 exp(-2 num/d) / (pi sqrt(d)),
+    num = (n-m)(1 + 2m - 2 sqrt(m(1+m)) cos(2 theta - phi) - s), d = 1 + s(s-2-4m)."""
+    d = 1.0 + sv * (sv - 2.0 - 4.0 * m)
+    num = (n - m) * (1.0 + 2.0 * m - 2.0 * np.sqrt(m * (1.0 + m)) * cos_phase - sv)
+    return 2.0 * np.exp(-2.0 * num / d) / (np.pi * np.sqrt(d))
 
-    2 exp(-2(n-m)(1 + 2m - 2 sqrt(m(1+m)) cos(2 theta - phi) - s)/d)
-    / (pi sqrt(d)) with d = 1 + s(s - 2 - 4m).
-    """
-    sv = _coerce_s(s)
-    d = 1.0 + sv * (sv - 2.0 - 4.0 * p.m)
-    num = (p.n - p.m) * (1.0 + 2.0 * p.m
-                         - 2.0 * np.sqrt(p.m * (1.0 + p.m)) * np.cos(2.0 * p.theta - p.phi)
-                         - sv)
-    return float(2.0 * np.exp(-2.0 * num / d) / (np.pi * np.sqrt(d)))
+
+def qs_pure_gaussian(p: PureGaussianParam, s) -> float:
+    """Origin quasiprobability of the pure Gaussian state given by p."""
+    return float(_pure_gaussian_origin(p.n, p.m, _coerce_s(s),
+                                       np.cos(2.0 * p.theta - p.phi)))
 
 
 def qs_at(state: TruncatedState, s, alpha: complex) -> float:
     """Quasiprobability at phase-space point alpha via displacement covariance.
 
-    Q_s[rho](alpha) equals the origin value of the state displaced by -alpha.
-    """
-    return qs_origin(apply_map(state, GaussianMapSpec(displacement=-alpha)), s)
+    Q_s[rho](alpha) is the origin value of the state displaced by -alpha,
+    read from its photon numbers."""
+    p = mapped_photon_probs(state, GaussianMapSpec(displacement=-alpha))
+    return _origin_series(p, _coerce_s(s))

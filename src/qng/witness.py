@@ -7,6 +7,7 @@ numbers p_m. Criterion b applies a Gaussian unitary (displacement or squeezing)
 chosen to make the comparison most favourable and reads the mapped p_m. For
 criterion a, pure loss eps maps G(z) = sum_m p_m z^m to G(eps + eta z),
 eta = 1 - eps, so Q_s(0) = 2/(pi(1-s)) G(eps - eta (1+s)/(1-s)), n_bar = eta n_bar_0.
+Criterion b with an identity seed (Fock states) is criterion a: no lossy matrix.
 """
 
 from __future__ import annotations
@@ -20,7 +21,9 @@ from .bounds import pure_bound
 from .fock import (ChannelSpec, GaussianMapSpec, TruncatedState, TruncationError,
                    apply_loss, make_fock, make_pac, make_pss, mapped_photon_probs,
                    photon_probs)
-from .quasiprob import _coerce_s
+from .quasiprob import _coerce_s, _origin_series
+
+SCAN_POINTS = 200  # loss grid of the threshold scan
 
 
 @dataclass(frozen=True)
@@ -63,13 +66,10 @@ class ThresholdResult:
 
 
 def _criterion_a(p, s, epsilon: float, nbar_slack: float) -> WitnessReport:
-    """First-criterion witness of photon numbers p after loss epsilon."""
+    """First-criterion witness of photon numbers p after a validated loss epsilon."""
     sv = _coerce_s(s)
-    eps = ChannelSpec(epsilon).epsilon
-    eta, m = 1.0 - eps, np.arange(p.size)
-    x = eps - eta * (1.0 + sv) / (1.0 - sv)
-    q_value = float(2.0 / (np.pi * (1.0 - sv)) * np.dot(x ** m, p))
-    nbar = eta * float(np.dot(m, p)) + nbar_slack
+    q_value = _origin_series(p, sv, epsilon)
+    nbar = (1.0 - epsilon) * float(np.dot(np.arange(p.size), p)) + nbar_slack
     bound = pure_bound(nbar, sv)[0]
     delta = q_value - bound
     return WitnessReport(s=sv, q_value=q_value, n_bar=nbar, bound=bound,
@@ -107,30 +107,27 @@ def q_opt(r: float, epsilon: float) -> float:
     return float(-np.arccosh(mu))
 
 
-def refine_map(state: TruncatedState, s, seed: GaussianMapSpec,
-               which: str = "displacement") -> GaussianMapSpec:
+def refine_map(state: TruncatedState, s, seed: GaussianMapSpec) -> GaussianMapSpec:
     """Locally improve the one-parameter map family around a seed.
 
-    Minimizes the second-criterion witness over a real displacement or a real
-    squeeze, whichever is selected, within 1 of the seed; never returns a map
-    worse than the seed.
+    Minimizes the second-criterion witness over a real squeeze if the seed
+    squeezes, else over a real displacement, within 1 of the seed; returns
+    the seed itself unless a map beats it.
     """
-    if which not in ("displacement", "squeeze"):
-        raise ValueError(f"unknown parameter family {which!r}")
-    sv = _coerce_s(s)
+    squeeze = seed.squeeze != 0
 
     def make(t: float) -> GaussianMapSpec:
-        if which == "displacement":
-            return replace(seed, displacement=complex(t))
-        return replace(seed, squeeze=t)
+        if squeeze:
+            return replace(seed, squeeze=t)
+        return replace(seed, displacement=complex(t))
 
     def objective(t: float) -> float:
         try:
-            return delta_b(state, sv, make(t)).delta
+            return delta_b(state, s, make(t)).delta
         except TruncationError:
             return np.inf
 
-    t0 = seed.displacement.real if which == "displacement" else seed.squeeze
+    t0 = seed.squeeze if squeeze else seed.displacement.real
     res = minimize_scalar(objective, bounds=(t0 - 1.0, t0 + 1.0),
                           method="bounded", options={"xatol": 1e-6})
     seed_val = objective(t0)
@@ -140,26 +137,26 @@ def refine_map(state: TruncatedState, s, seed: GaussianMapSpec,
     return seed
 
 
-def _seed_map(family: StateFamily, epsilon: float) -> tuple[GaussianMapSpec, str]:
+def _seed_map(family: StateFamily, epsilon: float) -> GaussianMapSpec:
     if family.kind == "pac":
-        return GaussianMapSpec(displacement=beta_opt(family.param, epsilon)), \
-            "displacement"
+        return GaussianMapSpec(displacement=beta_opt(family.param, epsilon))
     if family.kind == "pss":
-        return GaussianMapSpec(squeeze=q_opt(family.param, epsilon)), "squeeze"
-    return GaussianMapSpec(), "displacement"
+        return GaussianMapSpec(squeeze=q_opt(family.param, epsilon))
+    return GaussianMapSpec()
 
 
 def _witness(base: TruncatedState, family: StateFamily, s, epsilon: float,
              criterion: str, nbar_slack: float) -> WitnessReport:
     """Witness of the built family state base after loss epsilon."""
-    if criterion == "a":
-        return _criterion_a(photon_probs(base), s, epsilon, nbar_slack)
-    if criterion != "b":
+    channel = ChannelSpec(epsilon)
+    if criterion not in ("a", "b"):
         raise ValueError(f"criterion must be 'a' or 'b', got {criterion!r}")
-    lossy = apply_loss(base, ChannelSpec(epsilon))
-    seed, which = _seed_map(family, epsilon)
-    gmap = seed if seed.is_identity else refine_map(lossy, s, seed, which=which)
-    return delta_b(lossy, s, gmap, nbar_slack=nbar_slack)
+    seed = _seed_map(family, channel.epsilon) if criterion == "b" else None
+    if seed is None or seed.is_identity:
+        report = _criterion_a(photon_probs(base), s, channel.epsilon, nbar_slack)
+        return report if seed is None else replace(report, map=seed)
+    lossy = apply_loss(base, channel)
+    return delta_b(lossy, s, refine_map(lossy, s, seed), nbar_slack=nbar_slack)
 
 
 def witness_at_loss(family: StateFamily, s, epsilon: float, criterion: str,
@@ -170,12 +167,11 @@ def witness_at_loss(family: StateFamily, s, epsilon: float, criterion: str,
 
 def epsilon_threshold(family: StateFamily, s, criterion: str = "a",
                       tol: float = 1e-5, cutoff: int = 80,
-                      nbar_slack: float = 0.0,
-                      scan_points: int = 200) -> ThresholdResult:
+                      nbar_slack: float = 0.0) -> ThresholdResult:
     """Largest loss at which the witness stays conclusive.
 
     Returns sentinel "one" when still conclusive at epsilon = 1 - tol and
-    "none" when inconclusive everywhere on the scan grid. The conclusive
+    "none" when inconclusive everywhere on the SCAN_POINTS grid. The conclusive
     region can start away from epsilon = 0 (even Fock states have a positive
     parity at zero loss), so the scan walks down from high loss and bisects
     the topmost sign change.
@@ -192,7 +188,7 @@ def epsilon_threshold(family: StateFamily, s, criterion: str = "a",
     if delta(hi) <= 0:
         return ThresholdResult(s=sv, family=family, criterion=criterion,
                                epsilon_star="one", bisection_tol=tol)
-    grid = np.linspace(tol, hi, scan_points)
+    grid = np.linspace(tol, hi, SCAN_POINTS)
     star: float | str = "none"
     for eps in grid[-2::-1]:
         if delta(eps) <= 0:

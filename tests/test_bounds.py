@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from qng.bounds import (bound_at_zero, bound_objective, build_bound_curve,
                         convexity_check, m_minus1_closed, pure_bound,
@@ -148,3 +150,22 @@ def test_huge_grid_rejected(table):
         table(0, 1e17, 1)
     with pytest.raises(ValueError, match="grid points"):
         table(0, 1.0, 1e-300)
+
+
+def test_bound_objective_is_extremal_phase_pure_gaussian():
+    # one closed form: the bound objective is the pure Gaussian origin value
+    # at 2 theta - phi = pi
+    for s in [0.0, -0.5, -1.0, -3.0]:
+        for n in [0.0, 0.3, 1.0, 4.5, 20.0]:
+            for m in np.linspace(0.0, n, 9):
+                par = PureGaussianParam(n, m, np.pi / 2, 0.0)
+                assert bound_objective(m, n, s) == qs_pure_gaussian(par, s)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=hst.floats(0, 10), s=hst.floats(-3, 0))
+def test_pure_bound_convex_and_strictly_decreasing_property(n, s):
+    h = 0.05
+    b0, b1, b2 = (pure_bound(n + k * h, s)[0] for k in range(3))
+    assert b1 < b0 and b2 < b1
+    assert b0 - 2.0 * b1 + b2 >= -1e-10

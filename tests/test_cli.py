@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+import qng.error_model
 from qng.cli import main
+from qng.witness import StateFamily
 
 
 def run_cli(args, capsys):
@@ -156,6 +158,34 @@ class TestErrorBars:
         for line in lines[2:]:
             _, _, mean, std = (float(v) for v in line.split(","))
             assert mean == 1.0 and std == 0.0
+
+    @pytest.mark.parametrize("n_avg,k", [("1", "10000000"), ("1e12", "100")],
+                             ids=["huge-k", "nan-quantile"])
+    def test_huge_poisson_support_rejected(self, monkeypatch, capsys, n_avg, k):
+        def no_bound(*args):
+            raise AssertionError("pure_bound called past the support cap")
+
+        monkeypatch.setattr(qng.error_model, "pure_bound", no_bound)
+        code = main(["error-bars", "--s", "-1", "--n-avg", n_avg, "--k", k])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert captured.err.count("\n") == 1
+
+
+def test_out_of_memory_is_numerical_failure(monkeypatch, capsys):
+    def no_memory(self, cutoff):
+        raise MemoryError(f"Unable to allocate the cutoff {cutoff} state")
+
+    monkeypatch.setattr(StateFamily, "build", no_memory)
+    code = main(["threshold", "--family", "fock", "--m", "1", "--s", "0",
+                 "--cutoff", "100000"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == ("numerical failure: Unable to allocate the cutoff "
+                            "100000 state\n")
 
 
 def test_deterministic_output(capsys):

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 import qng
-from qng.bounds import bound_at_zero, pure_bound
+import qng.error_model
+from qng.bounds import MAX_GRID_POINTS, bound_at_zero, pure_bound
 from qng.error_model import (POISSON_MASS, BoundErrorRow, ErrorSpec,
                              bound_error_curve, normalized_bound_stats)
 
@@ -106,3 +107,15 @@ def test_matches_scipy_stats_poisson(k):
             second = float(np.dot(weights, values**2) / weights.sum())
             std = float(np.sqrt(max(second - mean**2, 0.0)))
             assert normalized_bound_stats(s, n_avg, k) == (mean, std)
+
+
+@pytest.mark.parametrize("n_avg,k", [(1.0, 10**7), (1e12, 100), (2e4, 50)],
+                         ids=["huge-k", "nan-quantile", "huge-n-avg"])
+def test_poisson_support_capped(monkeypatch, n_avg, k):
+    # refused before the counts are built or any bound is evaluated
+    def no_bound(*args):
+        raise AssertionError("pure_bound called past the support cap")
+
+    monkeypatch.setattr(qng.error_model, "pure_bound", no_bound)
+    with pytest.raises(ValueError, match=str(MAX_GRID_POINTS)):
+        normalized_bound_stats(-1, n_avg, k)

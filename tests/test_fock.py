@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as hst
 from scipy.linalg import expm
 from scipy.special import gammaln
 
@@ -387,3 +389,32 @@ def test_mix_rejects_bad_weights():
     a = make_fock(0, 10)
     with pytest.raises(ValueError):
         mix([a, a], [0.6, 0.6])
+
+
+START_STATES = [make_fock(2, 60), make_pac(1.0, 60), make_pss(0.4, 60),
+                make_coherent(0.5 + 0.5j, 60)]
+CHANNELS = hst.one_of(
+    hst.builds(ChannelSpec, hst.floats(0, 1)),
+    hst.builds(GaussianMapSpec,
+               hst.complex_numbers(max_magnitude=0.6, allow_nan=False,
+                                   allow_infinity=False),
+               hst.floats(-0.3, 0.3)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(state=hst.sampled_from(START_STATES),
+       ops=hst.lists(CHANNELS, min_size=1, max_size=3))
+def test_loss_and_map_compositions_keep_trace_and_positivity(state, ops):
+    for op in ops:
+        try:
+            if isinstance(op, ChannelSpec):
+                state = apply_loss(state, op)
+            else:
+                state = apply_map(state, op)
+        except TruncationError:
+            assume(False)
+    rho = state.matrix
+    trace = float(np.trace(rho).real)
+    assert 1.0 - state.tail_bound - 1e-10 <= trace <= 1.0 + 1e-10
+    assert np.max(np.abs(rho - rho.conj().T)) <= 1e-12
+    assert np.linalg.eigvalsh(rho)[0] >= -1e-12

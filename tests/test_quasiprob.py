@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
 
-from qng.fock import (ChannelSpec, apply_loss, make_coherent,
-                      make_displaced_squeezed, make_fock)
+import qng.fock
+import qng.quasiprob
+import qng.witness
+from qng.fock import (ChannelSpec, GaussianMapSpec, apply_loss, apply_map,
+                      make_coherent, make_displaced_squeezed, make_fock, make_pac,
+                      make_pss)
 from qng.quasiprob import (PureGaussianParam, SParam, qs_at, qs_fock,
                            qs_origin, qs_origin_error, qs_pure_gaussian)
+from qng.witness import delta_a
 
 S_VALUES = [0.0, -0.25, -0.5, -1.0, -2.0, -3.0]
 
@@ -115,3 +120,43 @@ class TestQsAt:
     def test_coherent_at_own_amplitude(self):
         st = make_coherent(1.0, 50)
         assert qs_at(st, -1, 1.0) == pytest.approx(1 / np.pi, abs=1e-9)
+
+    @pytest.mark.parametrize("state", [
+        pytest.param(make_pac(1.5, 60), id="pac"),
+        pytest.param(apply_loss(make_pss(0.5, 60), ChannelSpec(0.3)), id="lossy-pss"),
+        pytest.param(make_displaced_squeezed(0.3 - 0.4j, 0.2, 60), id="complex"),
+    ])
+    @pytest.mark.parametrize("alpha", [0.7, -0.4, 0.5 + 0.6j, -0.2j])
+    @pytest.mark.parametrize("s", [0, -1, -2])
+    def test_matches_displaced_matrix(self, state, alpha, s, apply_map_calls):
+        # the displaced density matrix is the oracle of the photon-number path
+        oracle = qs_origin(apply_map(state, GaussianMapSpec(displacement=-alpha)), s)
+        assert abs(qs_at(state, s, alpha) - oracle) <= 1e-12
+        assert apply_map_calls == []
+
+
+@pytest.fixture
+def apply_map_calls(monkeypatch):
+    """Counts the apply_map calls made through any qng namespace that binds it."""
+    calls = []
+    real = qng.fock.apply_map
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for module in (qng.fock, qng.quasiprob, qng.witness):
+        if hasattr(module, "apply_map"):
+            monkeypatch.setattr(module, "apply_map", counted)
+    return calls
+
+
+@pytest.mark.parametrize("state", [
+    pytest.param(make_fock(3, 20), id="fock"),
+    pytest.param(apply_loss(make_pac(2.0, 60), ChannelSpec(0.4)), id="lossy-pac"),
+    pytest.param(make_displaced_squeezed(0.5j, -0.3, 60), id="complex"),
+])
+@pytest.mark.parametrize("s", S_VALUES)
+def test_qs_origin_is_criterion_a_value(state, s):
+    # one series serves both: the origin value and the witness's q_value
+    assert qs_origin(state, s) == delta_a(state, s).q_value

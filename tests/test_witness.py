@@ -84,8 +84,14 @@ class TestCriterionAFromPhotonNumbers:
     def test_matches_lossy_matrix_property(self, family, s, eps, nbar_slack):
         assert_matches_lossy_matrix(family, s, eps, nbar_slack)
 
-    @pytest.mark.parametrize("criterion", ["a", "b"])
-    def test_threshold_builds_once(self, monkeypatch, criterion):
+    @pytest.mark.parametrize("family,criterion,lossy_matrix", [
+        pytest.param(StateFamily("fock", 2), "a", False, id="a"),
+        # a Fock seed map is the identity, so criterion b is criterion a
+        pytest.param(StateFamily("fock", 2), "b", False, id="b"),
+        pytest.param(StateFamily("pss", 0.5), "b", True, id="b-pss"),
+    ])
+    def test_threshold_builds_once(self, monkeypatch, family, criterion,
+                                   lossy_matrix):
         builds, losses = [], []
         build, loss = StateFamily.build, qng.witness.apply_loss
 
@@ -99,14 +105,10 @@ class TestCriterionAFromPhotonNumbers:
 
         monkeypatch.setattr(StateFamily, "build", counted_build)
         monkeypatch.setattr(qng.witness, "apply_loss", counted_loss)
-        res = epsilon_threshold(StateFamily("fock", 2), 0, criterion,
-                                tol=1e-3, scan_points=20)
+        res = epsilon_threshold(family, 0, criterion, tol=1e-3)
         assert isinstance(res.epsilon_star, float)  # a scan and a bisection
         assert builds == [80]
-        if criterion == "a":
-            assert losses == []
-        else:
-            assert losses
+        assert bool(losses) == lossy_matrix
 
     @pytest.mark.parametrize("criterion", ["a", "b"])
     @pytest.mark.parametrize("eps", [-0.1, 1.5])
@@ -207,6 +209,32 @@ class TestCriterionBFromPhotonNumbers:
         assert eigvalsh_calls == []
 
 
+class TestIdentitySeedIsCriterionA:
+    @pytest.mark.parametrize("family,eps", [
+        *[pytest.param(StateFamily("fock", m), eps, id=f"fock{m}-{eps}")
+          for m in (0, 1, 3) for eps in (0, 0.3, 0.9, 1)],
+        # at full loss the PAC and PSS seeds are the identity too
+        pytest.param(StateFamily("pac", 2.0), 1, id="pac-1"),
+        pytest.param(StateFamily("pss", 0.5), 1, id="pss-1"),
+    ])
+    @pytest.mark.parametrize("s", [0, -1, -2])
+    def test_equals_criterion_a_without_lossy_matrix(self, monkeypatch, family,
+                                                     eps, s):
+        losses = []
+        loss = qng.witness.apply_loss
+
+        def counted_loss(*args):
+            losses.append(args)
+            return loss(*args)
+
+        monkeypatch.setattr(qng.witness, "apply_loss", counted_loss)
+        a = witness_at_loss(family, s, eps, "a", nbar_slack=0.1)
+        b = witness_at_loss(family, s, eps, "b", nbar_slack=0.1)
+        assert (b.delta, b.q_value, b.n_bar) == (a.delta, a.q_value, a.n_bar)
+        assert b.map == GaussianMapSpec()
+        assert losses == []
+
+
 class TestSeeds:
     def test_beta_opt_values(self):
         assert beta_opt(2.0, 1.0) == 0
@@ -237,7 +265,7 @@ class TestRefineMap:
     def test_never_worse_than_seed(self):
         st = apply_loss(make_pac(2.0, 80), ChannelSpec(0.6))
         seed = GaussianMapSpec(displacement=beta_opt(2.0, 0.6))
-        refined = refine_map(st, 0, seed, which="displacement")
+        refined = refine_map(st, 0, seed)
         assert (delta_b(st, 0, refined).delta
                 <= delta_b(st, 0, seed).delta + 1e-15)
 
@@ -247,13 +275,13 @@ class TestRefineMap:
         r, eps = 0.5, 0.8
         st = apply_loss(make_pss(r, 80), ChannelSpec(eps))
         seed = GaussianMapSpec(squeeze=q_opt(r, eps))
-        refined = refine_map(st, 0, seed, which="squeeze")
+        refined = refine_map(st, 0, seed)
         assert abs(refined.squeeze - q_opt(r, eps)) <= 1e-3
 
     def test_vacuum_keeps_identity(self):
         st = make_fock(0, 40)
         seed = GaussianMapSpec()
-        refined = refine_map(st, -1, seed, which="displacement")
+        refined = refine_map(st, -1, seed)
         assert refined == seed
 
 
@@ -298,7 +326,7 @@ class TestThresholds:
 
     def test_pss_sentinel_none(self):
         res = epsilon_threshold(StateFamily("pss", 1.0), -2, "a", tol=1e-4,
-                                cutoff=100, scan_points=50)
+                                cutoff=100)
         assert res.epsilon_star == "none"
 
     def test_criterion_b_with_identity_family_matches_delta_a(self):
