@@ -65,16 +65,12 @@ def _write(path: str | None, content: str) -> None:
             fh.write(content)
 
 
-def _family_args(args) -> list[float]:
+def _families(args) -> list[StateFamily]:
     spec = {"fock": args.m, "pac": args.alpha, "pss": args.r}[args.family]
     if spec is None:
         raise ValueError(f"family {args.family!r} needs its parameter flag")
-    params = parse_range(spec, args.step)
-    if args.family == "fock":
-        if not all(p.is_integer() for p in params):
-            raise ValueError(f"Fock number m must be an integer, got {spec!r}")
-        params = [float(int(p)) for p in params]
-    return params
+    return [StateFamily(kind=args.family, param=p)
+            for p in parse_range(spec, args.step)]
 
 
 def cmd_bound_curve(args) -> int:
@@ -84,26 +80,25 @@ def cmd_bound_curve(args) -> int:
 
 
 def cmd_threshold(args) -> int:
-    params = _family_args(args)
+    families = _families(args)
     s_values = parse_s_list(args.s)
     lines = ["family_param,s,criterion,epsilon_star"]
-    for p in params:
-        family = StateFamily(kind=args.family, param=p)
+    for family in families:
         for s in s_values:
             res = epsilon_threshold(family, s, criterion=args.criterion,
                                     tol=args.tol, cutoff=args.cutoff,
                                     nbar_slack=args.nbar_slack)
-            lines.append(",".join([_fmt(p), _fmt(s), args.criterion,
+            lines.append(",".join([_fmt(family.param), _fmt(s), args.criterion,
                                    _fmt(res.epsilon_star)]))
     _write(args.out, "\n".join(lines) + "\n")
     return EXIT_OK
 
 
 def cmd_witness_curve(args) -> int:
-    params = _family_args(args)
-    if len(params) != 1:
+    families = _families(args)
+    if len(families) != 1:
         raise ValueError("witness-curve takes a single family parameter")
-    family = StateFamily(kind=args.family, param=params[0])
+    family = families[0]
     s_values = parse_s_list(args.s)
     eps_values = parse_range(args.eps, args.eps_step)
     lines = ["epsilon,s,delta"]
@@ -147,6 +142,12 @@ def build_parser() -> argparse.ArgumentParser:
             raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
         return int(text)
 
+    def finite_nonnegative(text: str) -> float:
+        value = float(text)
+        if not (math.isfinite(value) and value >= 0):
+            raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text}")
+        return value
+
     def add_family_flags(p):
         p.add_argument("--family", choices=("fock", "pac", "pss"),
                        required=True)
@@ -160,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated ordering parameters, all <= 0")
         p.add_argument("--cutoff", type=positive_int,
                        default=os.environ.get("QNG_DEFAULT_CUTOFF", "80"))
-        p.add_argument("--nbar-slack", type=float, default=0.0)
+        p.add_argument("--nbar-slack", type=finite_nonnegative, default=0.0)
         p.add_argument("--out", default=None)
 
     pt = sub.add_parser("threshold", help="scan loss thresholds per family")

@@ -12,6 +12,12 @@ follow a recurrence in n seeded by that vector (Miatto & Quesada, Quantum 4,
 366 (2020)). Both are exact at any cutoff: no element depends on levels
 past it, so a Gaussian map needs no enlarged basis, the trace it pushes past
 the cutoff is known exactly, and its photon numbers need no mapped matrix.
+The PAC and PSS states are one ladder combination on a Gaussian vector, so
+one helper (_family_vector) builds them and, in O(cutoff), their image under
+any U = D(beta) S(q): the witnesses evaluate lossy criterion b on that image
+(Q_s(0) after loss eps and U is Q_s2(0) of U' psi / (1 - eps) for another
+Gaussian U', see qng.witness), and fall back to apply_loss when U' psi puts
+more than MAP_TRUNCATION_LIMIT past the cutoff.
 
 Validation runs at the boundary only: a TruncatedState built from a caller's
 matrix is checked in full (shape, Hermitian, trace, positive semidefinite),
@@ -156,12 +162,8 @@ def make_coherent(alpha: complex, cutoff: int) -> TruncatedState:
 
 def make_pac(alpha: float, cutoff: int) -> TruncatedState:
     """Photon-added coherent state, normalized a^dag |alpha>."""
-    c = displaced_squeezed_vector(alpha, 0.0, cutoff)
-    psi = np.zeros(cutoff + 1, dtype=c.dtype)
-    psi[1:] = c[:-1] * np.sqrt(np.arange(1, cutoff + 1))
-    # exact norm of a^dag|alpha> is sqrt(1 + |alpha|^2)
-    psi /= np.sqrt(1.0 + abs(alpha) ** 2)
-    return _state_from_vector(psi, cutoff, f"PAC alpha={alpha:.3g}")
+    return _state_from_vector(_family_vector("pac", alpha, cutoff), cutoff,
+                              f"PAC alpha={alpha:.3g}")
 
 
 def make_squeezed(r: float, cutoff: int) -> TruncatedState:
@@ -171,19 +173,44 @@ def make_squeezed(r: float, cutoff: int) -> TruncatedState:
 
 
 def make_pss(r: float, cutoff: int) -> TruncatedState:
-    """Photon-subtracted squeezed state, normalized a S(r)|0>.
-
-    The r -> 0 limit |1> is returned directly once r * r underflows to 0.
-    """
+    """Photon-subtracted squeezed state, normalized a S(r)|0> = sinh r S(r)|1>."""
     if r < 0:
         raise ValueError("r must be >= 0")
-    if r * r == 0.0:
-        return make_fock(1, cutoff)
-    c = displaced_squeezed_vector(0.0, r, cutoff + 1)
-    n = np.arange(1, cutoff + 2)
-    psi = c[1:] * np.sqrt(n)  # (a psi)_n = sqrt(n+1) c_{n+1}
-    psi = psi / np.sinh(r)    # exact norm of a S(r)|0> is sinh r
-    return _state_from_vector(psi, cutoff, f"PSS r={r:.3g}")
+    return _state_from_vector(_family_vector("pss", r, cutoff), cutoff,
+                              f"PSS r={r:.3g}")
+
+
+def _family_vector(kind: str, param: float, cutoff: int,
+                   gmap: GaussianMapSpec = GaussianMapSpec()) -> np.ndarray:
+    """Amplitudes on levels 0..cutoff of U psi, U = D(beta) S(q) from gmap.
+
+    psi is the PAC state a^dag D(alpha)|0> / sqrt(1 + |alpha|^2) (kind "pac")
+    or the PSS state a S(r)|0> / sinh r = S(r)|1> = (a^dag cosh r - a sinh r)
+    S(r)|0> (kind "pss"; this form has no 1/sinh r to cancel at small r):
+    a ladder combination L = lam a + kap a^dag on a Gaussian vector
+    D(b0) S(r0)|0>. With U a U^dag = (a - beta) cosh q - (a^dag - beta*) sinh q
+    and U D(b0) S(r0)|0> = D(beta + b0 cosh q + b0* sinh q) S(r0 + q)|0> up
+    to a phase, U psi takes one Gaussian vector (one level past the cutoff,
+    so every amplitude is exact) and two shifted multiplies. The norm missing
+    from the result is the probability U psi puts past the cutoff.
+    """
+    if kind == "pac":
+        lam, kap, b0, r0 = 0.0, 1.0, complex(param), 0.0
+        norm = np.sqrt(1.0 + abs(param) ** 2)
+    else:
+        lam, kap, b0, r0, norm = -math.sinh(param), math.cosh(param), 0j, param, 1.0
+    beta, q = complex(gmap.displacement), float(gmap.squeeze)
+    mu, nu = math.cosh(q), math.sinh(q)
+    g = displaced_squeezed_vector(beta + b0 * mu + b0.conjugate() * nu, r0 + q,
+                                  cutoff + 1)
+    root = np.sqrt(np.arange(1, cutoff + 2))
+    lower = root * g[1:]  # (a g)_n = sqrt(n+1) g_{n+1}
+    upper = np.zeros_like(lower)
+    upper[1:] = root[:-1] * g[:-2]  # (a^dag g)_n = sqrt(n) g_{n-1}
+    g = g[:-1]
+    shift = beta.real if beta.imag == 0 else beta  # a real map keeps psi real
+    return ((lam * mu - kap * nu) * (lower - shift * g)
+            + (kap * mu - lam * nu) * (upper - np.conj(shift) * g)) / norm
 
 
 def make_displaced_squeezed(beta: complex, q: float, cutoff: int) -> TruncatedState:

@@ -8,18 +8,36 @@ chosen to make the comparison most favourable and reads the mapped p_m. For
 criterion a, pure loss eps maps G(z) = sum_m p_m z^m to G(eps + eta z),
 eta = 1 - eps, so Q_s(0) = 2/(pi(1-s)) G(eps - eta (1+s)/(1-s)), n_bar = eta n_bar_0.
 Criterion b with an identity seed (Fock states) is criterion a: no lossy matrix.
+
+Criterion b of a PAC or PSS state after loss reads the lossless vector psi:
+loss plus s-ordering is another ordering behind another Gaussian unitary
+(Cahill & Glauber, Phys. Rev. 177, 1882 (1969)). For U = D(beta) S(q),
+eta = 1 - eps and sigma+- = (eps - s e^(-+2q)) / eta,
+
+    Q_s(0)[U L_eps(rho) U^dag] = Q_s2(0)[U' rho U'^dag] / eta,
+
+s2 = -sqrt(sigma+ sigma-), q2 = ln(sigma+ / sigma-) / 4, U' = D(beta') S(-q2),
+beta' = (e^(-q-q2) Re beta + i e^(q+q2) Im beta) / sqrt(eta). U' psi costs
+O(cutoff), and n_bar follows from the lossless moments in closed form (the
+untruncated mean, never below the kept-level sum). A map whose U' psi puts
+more than MAP_TRUNCATION_LIMIT past the cutoff (beta' grows as 1/sqrt(eta))
+is evaluated on the lossy matrix instead: apply_loss, built once per loss
+value, then delta_b, which raises TruncationError as before.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .bounds import pure_bound
-from .fock import (ChannelSpec, GaussianMapSpec, TruncatedState, TruncationError,
-                   apply_loss, make_fock, make_pac, make_pss, mapped_photon_probs,
+from .fock import (MAP_TRUNCATION_LIMIT, ChannelSpec, GaussianMapSpec,
+                   TruncatedState, TruncationError, _family_vector, apply_loss,
+                   make_fock, make_pac, make_pss, mapped_photon_probs, moments,
                    photon_probs)
 from .quasiprob import _coerce_s, _origin_series
 
@@ -47,6 +65,11 @@ class StateFamily:
     def __post_init__(self):
         if self.kind not in ("fock", "pac", "pss"):
             raise ValueError(f"unknown family kind {self.kind!r}")
+        name = {"fock": "Fock number m", "pac": "PAC alpha", "pss": "PSS r"}[self.kind]
+        if not (math.isfinite(self.param) and self.param >= 0):
+            raise ValueError(f"{name} must be finite and >= 0, got {self.param}")
+        if self.kind == "fock" and self.param != int(self.param):
+            raise ValueError(f"{name} must be an integer, got {self.param}")
 
     def build(self, cutoff: int) -> TruncatedState:
         if self.kind == "fock":
@@ -65,15 +88,24 @@ class ThresholdResult:
     bisection_tol: float
 
 
-def _criterion_a(p, s, epsilon: float, nbar_slack: float) -> WitnessReport:
-    """First-criterion witness of photon numbers p after a validated loss epsilon."""
-    sv = _coerce_s(s)
-    q_value = _origin_series(p, sv, epsilon)
-    nbar = (1.0 - epsilon) * float(np.dot(np.arange(p.size), p)) + nbar_slack
+def _report(sv: float, q_value: float, nbar: float) -> WitnessReport:
+    """Witness of an origin value q_value against the hull bound at nbar."""
     bound = pure_bound(nbar, sv)[0]
     delta = q_value - bound
     return WitnessReport(s=sv, q_value=q_value, n_bar=nbar, bound=bound,
                          delta=delta, conclusive=delta < 0)
+
+
+def _criterion_a(p, s, epsilon: float, nbar_slack: float) -> WitnessReport:
+    """First-criterion witness of photon numbers p after a validated loss epsilon."""
+    sv = _coerce_s(s)
+    nbar = (1.0 - epsilon) * float(np.dot(np.arange(p.size), p)) + nbar_slack
+    return _report(sv, _origin_series(p, sv, epsilon), nbar)
+
+
+def _check_slack(nbar_slack: float) -> None:
+    if not (math.isfinite(nbar_slack) and nbar_slack >= 0):
+        raise ValueError(f"nbar_slack must be finite and >= 0, got {nbar_slack}")
 
 
 def delta_a(state: TruncatedState, s, nbar_slack: float = 0.0) -> WitnessReport:
@@ -110,10 +142,13 @@ def q_opt(r: float, epsilon: float) -> float:
 def refine_map(state: TruncatedState, s, seed: GaussianMapSpec) -> GaussianMapSpec:
     """Locally improve the one-parameter map family around a seed.
 
-    Minimizes the second-criterion witness over a real squeeze if the seed
-    squeezes, else over a real displacement, within 1 of the seed; returns
-    the seed itself unless a map beats it.
+    Minimizes the second-criterion witness delta_b(state, s, map) over a real
+    squeeze if the seed squeezes, else over a real displacement, within 1 of
+    the seed; returns the seed itself unless a map beats it. The witnesses
+    pass a _LossyFamily as state, which evaluates (and keeps) the reports of
+    its own s and nbar_slack instead.
     """
+    witness = state if isinstance(state, _LossyFamily) else partial(delta_b, state, s)
     squeeze = seed.squeeze != 0
 
     def make(t: float) -> GaussianMapSpec:
@@ -121,16 +156,16 @@ def refine_map(state: TruncatedState, s, seed: GaussianMapSpec) -> GaussianMapSp
             return replace(seed, squeeze=t)
         return replace(seed, displacement=complex(t))
 
-    def objective(t: float) -> float:
+    def objective(gmap: GaussianMapSpec) -> float:
         try:
-            return delta_b(state, s, make(t)).delta
+            return witness(gmap).delta
         except TruncationError:
             return np.inf
 
     t0 = seed.squeeze if squeeze else seed.displacement.real
-    res = minimize_scalar(objective, bounds=(t0 - 1.0, t0 + 1.0),
+    res = minimize_scalar(lambda t: objective(make(t)), bounds=(t0 - 1.0, t0 + 1.0),
                           method="bounded", options={"xatol": 1e-6})
-    seed_val = objective(t0)
+    seed_val = objective(seed)
     # demand improvement beyond roundoff so noise never displaces the seed
     if np.isfinite(res.fun) and res.fun < seed_val - 1e-12:
         return make(float(res.x))
@@ -145,9 +180,61 @@ def _seed_map(family: StateFamily, epsilon: float) -> GaussianMapSpec:
     return GaussianMapSpec()
 
 
+class _LossyFamily:
+    """The built PAC or PSS state base after loss, witnessed under Gaussian maps
+    through the reordering identity of the module docstring.
+
+    Calling it with a map gives that map's second-criterion report; reports
+    are kept per map, so the map refine_map returns is not evaluated twice.
+    """
+
+    def __init__(self, base: TruncatedState, family: StateFamily,
+                 channel: ChannelSpec, s, nbar_slack: float, base_moments):
+        self.base, self.family, self.channel = base, family, channel
+        self.s, self.nbar_slack = _coerce_s(s), nbar_slack
+        self.base_moments = base_moments
+        self._lossy: TruncatedState | None = None
+        self._reports: dict[GaussianMapSpec, WitnessReport] = {}
+
+    def __call__(self, gmap: GaussianMapSpec) -> WitnessReport:
+        report = self._reports.get(gmap)
+        if report is None:
+            report = self._reports[gmap] = self._evaluate(gmap)
+        return report
+
+    def _evaluate(self, gmap: GaussianMapSpec) -> WitnessReport:
+        eps, sv = self.channel.epsilon, self.s
+        eta = 1.0 - eps
+        beta, q = complex(gmap.displacement), float(gmap.squeeze)
+        if eps == 0.0:  # no loss: U' = U (at s = 0 sigma+- would be 0/0)
+            s2, q2 = sv, -q
+        else:
+            sigma_p = (eps - sv * math.exp(-2.0 * q)) / eta
+            sigma_m = (eps - sv * math.exp(2.0 * q)) / eta
+            s2 = -math.sqrt(sigma_p * sigma_m)
+            q2 = 0.25 * math.log(sigma_p / sigma_m)
+        beta2 = complex(math.exp(-q - q2) * beta.real,
+                        math.exp(q + q2) * beta.imag) / math.sqrt(eta)
+        psi = _family_vector(self.family.kind, self.family.param, self.base.cutoff,
+                             GaussianMapSpec(displacement=beta2, squeeze=-q2))
+        probs = np.abs(psi) ** 2
+        if 1.0 - float(np.sum(probs)) > MAP_TRUNCATION_LIMIT:
+            if self._lossy is None:
+                self._lossy = apply_loss(self.base, self.channel)
+            return delta_b(self._lossy, sv, gmap, nbar_slack=self.nbar_slack)
+        n0, a1, a2 = self.base_moments
+        mu, nu = math.cosh(q), math.sinh(q)
+        shift = beta.conjugate() * (mu * a1 + nu * a1.conjugate())
+        nbar = (eta * (math.cosh(2.0 * q) * n0 + math.sinh(2.0 * q) * a2.real)
+                + nu * nu + abs(beta) ** 2 + 2.0 * math.sqrt(eta) * shift.real)
+        report = _report(sv, _origin_series(probs, s2) / eta, nbar + self.nbar_slack)
+        return replace(report, map=gmap)
+
+
 def _witness(base: TruncatedState, family: StateFamily, s, epsilon: float,
-             criterion: str, nbar_slack: float) -> WitnessReport:
-    """Witness of the built family state base after loss epsilon."""
+             criterion: str, nbar_slack: float, base_moments=None) -> WitnessReport:
+    """Witness of the built family state base after loss epsilon; criterion b
+    takes moments(base) from base_moments when given."""
     channel = ChannelSpec(epsilon)
     if criterion not in ("a", "b"):
         raise ValueError(f"criterion must be 'a' or 'b', got {criterion!r}")
@@ -155,13 +242,15 @@ def _witness(base: TruncatedState, family: StateFamily, s, epsilon: float,
     if seed is None or seed.is_identity:
         report = _criterion_a(photon_probs(base), s, channel.epsilon, nbar_slack)
         return report if seed is None else replace(report, map=seed)
-    lossy = apply_loss(base, channel)
-    return delta_b(lossy, s, refine_map(lossy, s, seed), nbar_slack=nbar_slack)
+    lossy = _LossyFamily(base, family, channel, s, nbar_slack,
+                         moments(base) if base_moments is None else base_moments)
+    return lossy(refine_map(lossy, s, seed))
 
 
 def witness_at_loss(family: StateFamily, s, epsilon: float, criterion: str,
                     cutoff: int = 80, nbar_slack: float = 0.0) -> WitnessReport:
     """Witness value of a family member after loss, map-optimized for 'b'."""
+    _check_slack(nbar_slack)
     return _witness(family.build(cutoff), family, s, epsilon, criterion, nbar_slack)
 
 
@@ -179,10 +268,13 @@ def epsilon_threshold(family: StateFamily, s, criterion: str = "a",
     sv = _coerce_s(s)
     if tol < 1e-6:
         raise ValueError("tol must be >= 1e-6")
+    _check_slack(nbar_slack)
     base = family.build(cutoff)
+    base_moments = moments(base) if criterion == "b" else None
 
     def delta(eps: float) -> float:
-        return _witness(base, family, sv, eps, criterion, nbar_slack).delta
+        return _witness(base, family, sv, eps, criterion, nbar_slack,
+                        base_moments).delta
 
     hi = 1.0 - tol
     if delta(hi) <= 0:

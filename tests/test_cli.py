@@ -117,6 +117,30 @@ def test_bad_range_rejected(args, capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("value", ["-0.6", "nan", "inf"])
+def test_nbar_slack_must_be_finite_nonnegative(value, capsys):
+    # a negative slack would lower n_bar and make verdicts less conservative
+    with pytest.raises(SystemExit) as exc:
+        main(["witness-curve", "--family", "fock", "--m", "2", "--s", "0",
+              "--eps", "0.3", "--nbar-slack", value])
+    assert exc.value.code == 2
+    assert "--nbar-slack" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag,value,criterion", [
+    ("--alpha", "nan", "b"), ("--alpha", "-2", "a"), ("--r", "inf", "b"),
+    ("--r", "-0.5", "a"), ("--m", "-1", "a"),
+])
+def test_family_parameter_out_of_range(flag, value, criterion, capsys):
+    family = {"--alpha": "pac", "--r": "pss", "--m": "fock"}[flag]
+    code = main(["witness-curve", "--family", family, flag, value, "--s", "0",
+                 "--eps", "0.3", "--criterion", criterion])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f" {flag[2:]} must be" in captured.err
+
+
 @pytest.mark.parametrize("args", [
     ["error-bars", "--s", "-1", "--n-avg", "1e17..1e17", "--step", "1"],
     # 2**53 + 1 rounds back to 2**53, so the range stops advancing midway

@@ -7,10 +7,11 @@ from scipy.optimize import brentq, minimize_scalar
 import qng.fock
 import qng.witness
 from qng.bounds import bound_objective, pure_bound
-from qng.fock import (ChannelSpec, GaussianMapSpec, TruncatedState, apply_loss,
-                      apply_map, make_coherent, make_fock, make_pac, make_pss,
-                      mix, moments)
-from qng.witness import (StateFamily, beta_opt, delta_a, delta_b,
+from qng.fock import (ChannelSpec, GaussianMapSpec, TruncatedState,
+                      TruncationError, apply_loss, apply_map, make_coherent,
+                      make_fock, make_pac, make_pss, mapped_photon_probs, mix,
+                      moments)
+from qng.witness import (StateFamily, _LossyFamily, beta_opt, delta_a, delta_b,
                          epsilon_threshold, q_opt, refine_map, witness_at_loss)
 
 
@@ -88,7 +89,8 @@ class TestCriterionAFromPhotonNumbers:
         pytest.param(StateFamily("fock", 2), "a", False, id="a"),
         # a Fock seed map is the identity, so criterion b is criterion a
         pytest.param(StateFamily("fock", 2), "b", False, id="b"),
-        pytest.param(StateFamily("pss", 0.5), "b", True, id="b-pss"),
+        # PSS maps are evaluated on the lossless vector
+        pytest.param(StateFamily("pss", 0.5), "b", False, id="b-pss"),
     ])
     def test_threshold_builds_once(self, monkeypatch, family, criterion,
                                    lossy_matrix):
@@ -194,11 +196,11 @@ class TestCriterionBFromPhotonNumbers:
     @pytest.mark.parametrize("family", [StateFamily("pac", 2.0),
                                         StateFamily("pss", 0.5)],
                              ids=lambda f: f.kind)
-    def test_witness_at_loss_builds_family_and_lossy_state(self, family,
-                                                           states_built):
+    def test_witness_at_loss_builds_family_state_only(self, family,
+                                                      states_built):
         rep = witness_at_loss(family, -1, 0.6, "b")
         assert not rep.map.is_identity
-        assert states_built == [80, 80]
+        assert states_built == [80]
 
     @pytest.mark.parametrize("family", [StateFamily("pac", 2.0),
                                         StateFamily("pss", 0.5)],
@@ -207,6 +209,161 @@ class TestCriterionBFromPhotonNumbers:
         witness_at_loss(family, -1, 0.6, "b")
         epsilon_threshold(family, -1, "b", tol=1e-2)
         assert eigvalsh_calls == []
+
+
+def lossy_family(family, s, eps, nbar_slack=0.1):
+    base = family.build(80)
+    return _LossyFamily(base, family, ChannelSpec(eps), s, nbar_slack,
+                        moments(base))
+
+
+def direct_oracle(family, s, eps, gmap, nbar_slack=0.1, cutoff=80):
+    lossy = apply_loss(family.build(cutoff), ChannelSpec(eps))
+    return delta_b(lossy, s, gmap, nbar_slack)
+
+
+EXACT_BASE = LOSSY_MAPPED[:3]  # cutoff 80 holds these states to roundoff
+
+
+class TestCriterionBFromLosslessVector:
+    @pytest.mark.parametrize("family,_,gmap", EXACT_BASE)
+    @pytest.mark.parametrize("s", [0, -1, -2])
+    @pytest.mark.parametrize("eps", [0, 0.3, 0.8, 0.999])  # eps = s = 0 is 0/0
+    def test_matches_lossy_matrix(self, family, _, gmap, s, eps):
+        fast = lossy_family(family, s, eps)(gmap)
+        oracle = direct_oracle(family, s, eps, gmap)
+        assert abs(fast.delta - oracle.delta) <= 1e-12
+        assert abs(fast.q_value - oracle.q_value) <= 1e-12
+        assert abs(fast.n_bar - oracle.n_bar) <= 1e-12
+        assert fast.map == gmap
+
+    @pytest.mark.parametrize("s", [0, -1, -2])
+    @pytest.mark.parametrize("eps", [0, 0.3, 0.8, 0.999])
+    def test_truncated_base_within_oracle_error(self, s, eps):
+        # PSS r = 1.0 leaves 1.6e-9 past cutoff 80; the lossless vector is
+        # exact, so the gap is bounded by the oracle's own truncation error
+        family, _, gmap = LOSSY_MAPPED[3].values
+        fast = lossy_family(family, s, eps)(gmap)
+        oracle = direct_oracle(family, s, eps, gmap)
+        converged = direct_oracle(family, s, eps, gmap, cutoff=160)
+        oracle_err = abs(oracle.delta - converged.delta)
+        assert abs(fast.delta - oracle.delta) <= 1e-9 + oracle_err
+        assert fast.n_bar >= oracle.n_bar - 1e-12  # the untruncated mean
+
+    @settings(max_examples=60, deadline=None)
+    @given(family=hst.one_of(
+               hst.builds(StateFamily, hst.just("pac"), hst.floats(0, 3)),
+               hst.builds(StateFamily, hst.just("pss"), hst.floats(0, 0.5))),
+           s=hst.floats(-3, 0), eps=hst.floats(0, 0.999),
+           re=hst.floats(-1.5, 1.5), im=hst.floats(-1.5, 1.5),
+           q=hst.floats(-1, 1), nbar_slack=hst.floats(0, 1))
+    def test_matches_lossy_matrix_property(self, family, s, eps, re, im, q,
+                                           nbar_slack):
+        # each path drops what its mapped state puts past the cutoff, and
+        # such a loss moves an origin value by at most 2/(pi(1-s)) times it
+        gmap = GaussianMapSpec(displacement=complex(re, im), squeeze=q)
+        vectors = []
+        family_vector = qng.witness._family_vector
+
+        def kept(*args):
+            vectors.append(family_vector(*args))
+            return vectors[-1]
+
+        view = lossy_family(family, s, eps, nbar_slack)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(qng.witness, "_family_vector", kept)
+            try:
+                fast = view(gmap)
+            except TruncationError:
+                fast = None
+        try:
+            oracle = direct_oracle(family, s, eps, gmap, nbar_slack)
+        except TruncationError:
+            assert fast is None or view._lossy is None
+            return
+        if view._lossy is not None:  # the vector did not fit: direct path
+            assert fast == oracle
+            return
+        lossy = apply_loss(family.build(80), ChannelSpec(eps))
+        lost = (1.0 - np.sum(np.abs(vectors[-1]) ** 2)
+                + np.trace(lossy.matrix).real
+                - np.sum(mapped_photon_probs(lossy, gmap)))
+        budget = 2 / (np.pi * (1 - s)) * lost
+        assert abs(fast.q_value - oracle.q_value) <= budget + 1e-12
+        assert fast.n_bar >= oracle.n_bar - 1e-12
+        assert fast.delta == fast.q_value - fast.bound
+
+    def test_fallback_is_the_direct_path(self, monkeypatch):
+        # beta' grows as 1/sqrt(eta): at eps = 0.999 a step of 0.3 past the
+        # seed pushes the PAC vector far past the cutoff
+        family, eps = StateFamily("pac", 2.0), 0.999
+        gmap = GaussianMapSpec(displacement=beta_opt(2.0, eps) + 0.3)
+        losses = []
+        loss = qng.witness.apply_loss
+
+        def counted_loss(*args):
+            losses.append(args)
+            return loss(*args)
+
+        monkeypatch.setattr(qng.witness, "apply_loss", counted_loss)
+        view = lossy_family(family, -1, eps)
+        fast = view(gmap)
+        view(GaussianMapSpec(displacement=gmap.displacement + 0.1))
+        assert len(losses) == 1  # built once per loss value
+        assert fast == direct_oracle(family, -1, eps, gmap)
+
+    @pytest.mark.parametrize("family", [StateFamily("pac", 2.0),
+                                        StateFamily("pss", 0.5)],
+                             ids=lambda f: f.kind)
+    def test_no_loss_wigner_is_finite(self, family):
+        # sigma+- = 0/0 at eps = s = 0: the map is used as it is
+        rep = witness_at_loss(family, 0, 0.0, "b")
+        oracle = delta_b(family.build(80), 0, rep.map)
+        assert np.isfinite(rep.delta)
+        assert abs(rep.delta - oracle.delta) <= 1e-12
+
+    @pytest.mark.parametrize("family,eps", [
+        pytest.param(StateFamily("pac", 2.0), 0.6, id="pac"),
+        pytest.param(StateFamily("pac", 2.0), 0.999, id="pac-fallback"),
+        pytest.param(StateFamily("pss", 0.5), 0.6, id="pss"),
+    ])
+    def test_each_map_evaluated_once(self, monkeypatch, family, eps):
+        evaluated = []
+        evaluate = _LossyFamily._evaluate
+
+        def counted(self, gmap):
+            evaluated.append(gmap)
+            return evaluate(self, gmap)
+
+        monkeypatch.setattr(_LossyFamily, "_evaluate", counted)
+        rep = witness_at_loss(family, -1, eps, "b")
+        assert len(set(evaluated)) == len(evaluated)
+        assert rep.map in evaluated
+
+    def test_refine_map_returns_kept_seed_itself(self):
+        # at s = 0 only n_bar depends on the squeeze, and q_opt minimizes it
+        view = lossy_family(StateFamily("pss", 0.5), 0, 0.6)
+        seed = GaussianMapSpec(squeeze=q_opt(0.5, 0.6))
+        assert refine_map(view, 0, seed) is seed
+
+
+class TestInputValidation:
+    @pytest.mark.parametrize("slack", [-0.6, np.nan, np.inf])
+    def test_nbar_slack_must_be_finite_nonnegative(self, slack):
+        family = StateFamily("fock", 2)
+        with pytest.raises(ValueError, match="nbar_slack"):
+            witness_at_loss(family, 0, 0.3, "a", nbar_slack=slack)
+        with pytest.raises(ValueError, match="nbar_slack"):
+            epsilon_threshold(family, 0, "b", nbar_slack=slack)
+
+    @pytest.mark.parametrize("kind,param,name", [
+        ("fock", 1.5, "m"), ("fock", -1, "m"), ("fock", np.nan, "m"),
+        ("pac", -2.0, "alpha"), ("pac", np.nan, "alpha"),
+        ("pss", -0.1, "r"), ("pss", np.inf, "r"),
+    ])
+    def test_family_parameter_in_range(self, kind, param, name):
+        with pytest.raises(ValueError, match=rf"\b{name}\b"):
+            StateFamily(kind, param)
 
 
 class TestIdentitySeedIsCriterionA:
