@@ -3,19 +3,35 @@
 The pure-state bound at mean photon number n minimizes, over the squeezing
 fraction m in [0, n], the worst-case pure Gaussian origin value (the closed
 form of qng.quasiprob) with the phases at their extremal relation 2 theta - phi
-= pi. Rank-2 mixtures are searched separately to confirm they cannot undercut
-the pure-state bound at working precision.
+= pi. With x = e^(2r), m = (x-1)^2 / (4x), the log of that value is rational in
+x and its stationary points are the roots of the quartic
+
+    P(x) = s x^4 - 2 x^3 + (4n+2) x^2 - s (4n+2) x + s.
+
+P(0) = s <= 0 < P(1) = 4n(1-s) and P(2n+1) = s (4n(n+1))^2 <= 0, and by
+Descartes' rule P has at most two positive roots, so exactly one root lies in
+(1, 2n+1]: the minimum. pure_bound finds it by Newton's method from 2n+1, for
+a float or an array of n. At s = 0 the root is 2n+1 (wigner_bound_closed); at
+s = -1 it is the cube root behind m_minus1_closed.
+
+build_bound_curve and the error bars of qng.error_model still tabulate the
+bounded minimization of the objective (_minimized_bound), whose m_opt is off by
+up to about 5e-7: their recorded outputs carry it. Rank-2 mixtures are
+searched separately to confirm they cannot undercut the pure-state bound at
+working precision.
 """
 
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .quasiprob import _coerce_s, _pure_gaussian_origin
+
+NEWTON_MAX_STEPS = 64  # the descent from 2n+1 takes at most 17 on n <= 60, s >= -4
 
 
 def bound_at_zero(s) -> float:
@@ -36,23 +52,139 @@ def bound_objective(m: float, n: float, s: float) -> float:
     return _pure_gaussian_origin(n, m, s, -1.0)
 
 
-def pure_bound(n: float, s) -> tuple[float, float]:
-    """Minimize the pure Gaussian origin value at mean photon number n.
+def _stationary_split(n, sv: float):
+    """Squeezing fraction m at the root of P in (1, 2n+1], for a float or an
+    array n.
 
-    Returns (bound, m_opt). The constraint is saturated: the minimizer uses
-    exactly n mean photons.
+    Newton's method runs on P(1 + y), y = x - 1, so that m = y^2 / (4(1+y))
+    keeps its relative precision near the coherent end y = 0. From y = 2n it
+    falls monotonically onto the root in exact arithmetic; it stops at the
+    first step that does not lower y (the roundoff floor), or after
+    NEWTON_MAX_STEPS steps.
+    """
+    c3, c2 = 4.0 * sv - 2.0, 4.0 * n - 4.0 + 6.0 * sv
+    c1, c0 = 8.0 * n - 2.0 + 2.0 * sv - 4.0 * n * sv, 4.0 * n * (1.0 - sv)
+    y, batch = 2.0 * n, np.ndim(n) > 0
+    for _ in range(NEWTON_MAX_STEPS):
+        p = (((sv * y + c3) * y + c2) * y + c1) * y + c0
+        dp = ((4.0 * sv * y + 3.0 * c3) * y + 2.0 * c2) * y + c1
+        lower = y - p / dp
+        if batch:
+            falls = lower < y
+            if not falls.any():
+                break
+            y = np.where(falls, lower, y)
+        elif lower < y:
+            y = lower
+        else:
+            break
+    return y * y / (4.0 * (1.0 + y))
+
+
+def pure_bound(n, s):
+    """Minimum of the pure Gaussian origin value at mean photon number n.
+
+    Returns (bound, m_opt): floats for a float n, arrays for an array of n.
+    The constraint is saturated: the minimizer uses exactly n mean photons.
     """
     sv = _coerce_s(s)
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    if np.ndim(n):
+        n = np.asarray(n, dtype=float)
+        if not np.all((n >= 0) & (n < np.inf)):
+            raise ValueError("n must be finite and >= 0")
+        m = _stationary_split(n, sv)
+        return bound_objective(m, n, sv), m
+    n = float(n)
+    if not 0.0 <= n < math.inf:
+        raise ValueError("n must be finite and >= 0")
+    m = _stationary_split(n, sv)
+    return float(bound_objective(m, n, sv)), m
+
+
+_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
+_SQRT_EPS = math.sqrt(2.2e-16)
+_BRENT_MAX_EVALS = 500  # scipy's default maxiter
+
+
+def _fminbound(func, lo: float, hi: float, xatol: float) -> tuple[float, float]:
+    """Bounded Brent minimization of func on [lo, hi]: returns (x, func(x)).
+
+    The iteration of scipy.optimize.minimize_scalar(method="bounded"), step
+    for step, so both give the same x and value.
+    """
+    a, b = lo, hi
+    fulc = a + _GOLDEN * (b - a)
+    nfc = xf = x = fulc
+    rat = e = 0.0
+    fx = func(x)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:  # try a parabolic fit
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                golden = False
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if x - a < tol2 or b - x < tol2:
+                    rat = tol1 if xm - xf >= 0 else -tol1
+        if golden:
+            e = a - xf if xf >= xm else b - xf
+            rat = _GOLDEN * e
+        x = xf + (1.0 if rat >= 0 else -1.0) * max(abs(rat), tol1)
+        fu = func(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= _BRENT_MAX_EVALS:
+            break
+    return xf, fx
+
+
+def _minimized_bound(n: float, s) -> tuple[float, float]:
+    """pure_bound by bounded minimization of the objective over m in [0, n],
+    which overestimates the bound by up to about 3e-13 relative and m_opt by
+    up to about 5e-7. The tabulated bound curves and error bars read it."""
+    sv = _coerce_s(s)
+    if not 0.0 <= n < math.inf:
+        raise ValueError("n must be finite and >= 0")
     if n == 0:
         return bound_at_zero(sv), 0.0
-    res = minimize_scalar(bound_objective, bounds=(0.0, n), args=(n, sv),
-                          method="bounded",
-                          options={"xatol": 1e-13 * max(1.0, n), "maxiter": 500})
+    x, fun = _fminbound(lambda m: bound_objective(m, n, sv), 0.0, n,
+                        xatol=1e-13 * max(1.0, n))
     candidates = [(bound_objective(0.0, n, sv), 0.0),
                   (bound_objective(n, n, sv), n),
-                  (float(res.fun), float(res.x))]
+                  (float(fun), float(x))]
     return min(candidates)
 
 
@@ -110,8 +242,7 @@ def rank2_search(n: float, s) -> Rank2Candidate:
             n2g = lo2 + np.geomspace(1e-6 * span, span, RANK2_POINTS)
         else:
             n2g = np.linspace(lo2, hi2, RANK2_POINTS)
-        b1 = np.array([pure_bound(v, sv)[0] for v in n1g])
-        b2 = np.array([pure_bound(v, sv)[0] for v in n2g])
+        b1, b2 = pure_bound(n1g, sv)[0], pure_bound(n2g, sv)[0]
         diff = n2g[None, :] - n1g[:, None]
         with np.errstate(divide="ignore", invalid="ignore"):
             p = np.where(diff > 0, (n2g[None, :] - n) / diff, np.nan)
@@ -162,7 +293,7 @@ def build_bound_curve(s, n_max: float, step: float) -> BoundCurve:
     grid = _grid(n_max, step)
     samples = []
     for n in grid:
-        b, m = pure_bound(float(n), sv)
+        b, m = _minimized_bound(float(n), sv)
         samples.append((float(n), b, m))
     return BoundCurve(s=sv, samples=samples)
 
@@ -185,7 +316,7 @@ def convexity_check(s, n_max: float, step: float,
     if step <= 0:
         raise ValueError("step must be > 0")
     grid = _grid(n_max, step)
-    b = np.array([pure_bound(float(n), sv)[0] for n in grid])
+    b = pure_bound(grid, sv)[0]
     second = b[:-2] - 2.0 * b[1:-1] + b[2:]
     deficit = float(-second.min()) if second.size else 0.0
     # strict decrease is only meaningful above the underflow floor: at s = 0

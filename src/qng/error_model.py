@@ -3,7 +3,9 @@
 The total photon count over k trials is modeled as Poisson(k * n_avg); the
 hull bound is averaged exactly over that distribution and each curve is
 normalized so the noiseless bound equals 1 at n_avg = 0. A distribution whose
-support needs more than bounds.MAX_GRID_POINTS counts is refused.
+support needs more than bounds.MAX_GRID_POINTS counts is refused. The bound at
+each count is the bounded minimization of qng.bounds (_minimized_bound), as in
+the tabulated bound curves, so the recorded error bars keep their values.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln, pdtr, pdtrik, xlogy
 
-from .bounds import MAX_GRID_POINTS, bound_at_zero, pure_bound
+from .bounds import MAX_GRID_POINTS, _minimized_bound, bound_at_zero
 from .quasiprob import _coerce_s
 
 POISSON_MASS = 1.0 - 1e-12
@@ -60,7 +62,7 @@ def normalized_bound_stats(s, n_avg: float, k: int) -> tuple[float, float]:
         n_hi -= 1
     counts = np.arange(n_hi + 1)
     weights = np.exp(xlogy(counts, lam) - gammaln(counts + 1) - lam)
-    values = np.array([pure_bound(c / k, sv)[0] for c in counts]) / scale
+    values = np.array([_minimized_bound(c / k, sv)[0] for c in counts]) / scale
     total = weights.sum()
     mean = float(np.dot(weights, values) / total)
     second = float(np.dot(weights, values**2) / total)

@@ -17,15 +17,24 @@ import numpy as np
 from .fock import GaussianMapSpec, TruncatedState, mapped_photon_probs, photon_probs
 
 
+# Lowest ordering parameter accepted. From S_MIN up to 0 every origin formula
+# stays finite: d = 1 + s(s-2-4m) below mean photon numbers of 1e70, the
+# sigma+- = (eps - s e^(-+2q)) / eta of criterion b and their product for
+# squeezes |q| <= 100 at any loss eps < 1 (eta >= 2^-53), and the hull-bound
+# quartic of qng.bounds (|s| (2n)^4 terms) below n = 1e70.
+S_MIN = -1e6
+
+
 @dataclass(frozen=True)
 class SParam:
-    """Ordering parameter of the quasiprobability family, s <= 0."""
+    """Ordering parameter of the quasiprobability family, S_MIN <= s <= 0."""
 
     s: float
 
     def __post_init__(self):
-        if not np.isfinite(self.s) or self.s > 0:
-            raise ValueError(f"ordering parameter must be <= 0, got {self.s}")
+        if not S_MIN <= self.s <= 0:  # NaN fails this too
+            raise ValueError(f"ordering parameter must be in [{S_MIN:g}, 0], "
+                             f"got {self.s}")
 
 
 @dataclass(frozen=True)
@@ -59,11 +68,13 @@ def qs_fock(m: int, s) -> float:
     return 2.0 / (np.pi * (1.0 - sv)) * (-1.0) ** m * ((1.0 + sv) / (1.0 - sv)) ** m
 
 
-def _origin_series(p: np.ndarray, sv: float, epsilon: float = 0.0) -> float:
+def _origin_series(p: np.ndarray, sv: float, epsilon=0.0):
     """Origin value 2/(pi(1-s)) sum_m x^m p_m of photon numbers p after pure
-    loss epsilon, x = eps - (1-eps)(1+s)/(1-s) (from G(z) -> G(eps + (1-eps) z))."""
-    x = epsilon - (1.0 - epsilon) * (1.0 + sv) / (1.0 - sv)
-    return float(2.0 / (np.pi * (1.0 - sv)) * np.dot(x ** np.arange(p.size), p))
+    loss epsilon, x = eps - (1-eps)(1+s)/(1-s) (from G(z) -> G(eps + (1-eps) z)).
+    A float for a float epsilon, an array for an array of losses."""
+    x = np.asarray(epsilon - (1.0 - epsilon) * (1.0 + sv) / (1.0 - sv))
+    values = 2.0 / (np.pi * (1.0 - sv)) * (x[..., None] ** np.arange(p.size) @ p)
+    return values if values.ndim else float(values)
 
 
 def qs_origin(state: TruncatedState, s) -> float:

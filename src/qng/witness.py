@@ -8,6 +8,8 @@ chosen to make the comparison most favourable and reads the mapped p_m. For
 criterion a, pure loss eps maps G(z) = sum_m p_m z^m to G(eps + eta z),
 eta = 1 - eps, so Q_s(0) = 2/(pi(1-s)) G(eps - eta (1+s)/(1-s)), n_bar = eta n_bar_0.
 Criterion b with an identity seed (Fock states) is criterion a: no lossy matrix.
+A threshold whose every scan point is criterion a evaluates its scan as one
+array call, with one hull-bound call for all the scan's mean photon numbers.
 
 Criterion b of a PAC or PSS state after loss reads the lossless vector psi:
 loss plus s-ordering is another ordering behind another Gaussian unitary
@@ -32,9 +34,8 @@ from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
-from .bounds import pure_bound
+from .bounds import _fminbound, pure_bound
 from .fock import (MAP_TRUNCATION_LIMIT, ChannelSpec, GaussianMapSpec,
                    TruncatedState, TruncationError, _family_vector, apply_loss,
                    make_fock, make_pac, make_pss, mapped_photon_probs, moments,
@@ -96,11 +97,17 @@ def _report(sv: float, q_value: float, nbar: float) -> WitnessReport:
                          delta=delta, conclusive=delta < 0)
 
 
+def _after_loss(p, sv: float, epsilon, nbar_slack: float):
+    """Origin value and n_bar of photon numbers p after validated losses epsilon
+    (a float, or an array of losses)."""
+    nbar = (1.0 - epsilon) * float(np.dot(np.arange(p.size), p)) + nbar_slack
+    return _origin_series(p, sv, epsilon), nbar
+
+
 def _criterion_a(p, s, epsilon: float, nbar_slack: float) -> WitnessReport:
     """First-criterion witness of photon numbers p after a validated loss epsilon."""
     sv = _coerce_s(s)
-    nbar = (1.0 - epsilon) * float(np.dot(np.arange(p.size), p)) + nbar_slack
-    return _report(sv, _origin_series(p, sv, epsilon), nbar)
+    return _report(sv, *_after_loss(p, sv, epsilon, nbar_slack))
 
 
 def _check_slack(nbar_slack: float) -> None:
@@ -163,12 +170,12 @@ def refine_map(state: TruncatedState, s, seed: GaussianMapSpec) -> GaussianMapSp
             return np.inf
 
     t0 = seed.squeeze if squeeze else seed.displacement.real
-    res = minimize_scalar(lambda t: objective(make(t)), bounds=(t0 - 1.0, t0 + 1.0),
-                          method="bounded", options={"xatol": 1e-6})
+    t, value = _fminbound(lambda t: objective(make(t)), t0 - 1.0, t0 + 1.0,
+                          xatol=1e-6)
     seed_val = objective(seed)
     # demand improvement beyond roundoff so noise never displaces the seed
-    if np.isfinite(res.fun) and res.fun < seed_val - 1e-12:
-        return make(float(res.x))
+    if np.isfinite(value) and value < seed_val - 1e-12:
+        return make(float(t))
     return seed
 
 
@@ -231,13 +238,17 @@ class _LossyFamily:
         return replace(report, map=gmap)
 
 
+def _check_criterion(criterion: str) -> None:
+    if criterion not in ("a", "b"):
+        raise ValueError(f"criterion must be 'a' or 'b', got {criterion!r}")
+
+
 def _witness(base: TruncatedState, family: StateFamily, s, epsilon: float,
              criterion: str, nbar_slack: float, base_moments=None) -> WitnessReport:
     """Witness of the built family state base after loss epsilon; criterion b
     takes moments(base) from base_moments when given."""
     channel = ChannelSpec(epsilon)
-    if criterion not in ("a", "b"):
-        raise ValueError(f"criterion must be 'a' or 'b', got {criterion!r}")
+    _check_criterion(criterion)
     seed = _seed_map(family, channel.epsilon) if criterion == "b" else None
     if seed is None or seed.is_identity:
         report = _criterion_a(photon_probs(base), s, channel.epsilon, nbar_slack)
@@ -263,36 +274,42 @@ def epsilon_threshold(family: StateFamily, s, criterion: str = "a",
     "none" when inconclusive everywhere on the SCAN_POINTS grid. The conclusive
     region can start away from epsilon = 0 (even Fock states have a positive
     parity at zero loss), so the scan walks down from high loss and bisects
-    the topmost sign change.
+    the topmost sign change. Where every scan point is criterion a (criterion
+    a, or identity seeds), the scan is one array evaluation.
     """
     sv = _coerce_s(s)
-    if tol < 1e-6:
-        raise ValueError("tol must be >= 1e-6")
+    if not 1e-6 <= tol <= 1.0:  # NaN fails this too
+        raise ValueError(f"tol must be in [1e-6, 1], got {tol}")
     _check_slack(nbar_slack)
+    _check_criterion(criterion)
     base = family.build(cutoff)
-    base_moments = moments(base) if criterion == "b" else None
+    grid = np.linspace(tol, 1.0 - tol, SCAN_POINTS)
+    batch = criterion == "a" or all(_seed_map(family, e).is_identity for e in grid)
+    base_moments = None if batch else moments(base)
 
     def delta(eps: float) -> float:
         return _witness(base, family, sv, eps, criterion, nbar_slack,
                         base_moments).delta
 
-    hi = 1.0 - tol
-    if delta(hi) <= 0:
-        return ThresholdResult(s=sv, family=family, criterion=criterion,
-                               epsilon_star="one", bisection_tol=tol)
-    grid = np.linspace(tol, hi, SCAN_POINTS)
-    star: float | str = "none"
-    for eps in grid[-2::-1]:
-        if delta(eps) <= 0:
-            lo = eps
-            while hi - lo > tol:
-                mid = 0.5 * (lo + hi)
-                if delta(mid) <= 0:
-                    lo = mid
-                else:
-                    hi = mid
-            star = 0.5 * (lo + hi)
-            break
-        hi = eps
+    # conclusive or not at each scan point, from the top down
+    if batch:
+        q, nbar = _after_loss(photon_probs(base), sv, grid[::-1], nbar_slack)
+        conclusive = iter(q - pure_bound(nbar, sv)[0] <= 0)
+    else:
+        conclusive = (delta(e) <= 0 for e in grid[::-1])
+    star: float | str = "one"
+    if not next(conclusive):  # at the top, hi = 1 - tol
+        star = "none"
+        for i, below in zip(range(SCAN_POINTS - 2, -1, -1), conclusive):
+            if below:
+                lo, hi = grid[i], grid[i + 1]
+                while hi - lo > tol:
+                    mid = 0.5 * (lo + hi)
+                    if delta(mid) <= 0:
+                        lo = mid
+                    else:
+                        hi = mid
+                star = 0.5 * (lo + hi)
+                break
     return ThresholdResult(s=sv, family=family, criterion=criterion,
                            epsilon_star=star, bisection_tol=tol)

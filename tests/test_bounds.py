@@ -1,11 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from qng.bounds import (bound_at_zero, bound_objective, build_bound_curve,
-                        convexity_check, m_minus1_closed, pure_bound,
-                        rank2_search, wigner_bound_closed)
+from qng.bounds import (_fminbound, _minimized_bound, bound_at_zero,
+                        bound_objective, build_bound_curve, convexity_check,
+                        m_minus1_closed, pure_bound, rank2_search,
+                        wigner_bound_closed)
 from qng.quasiprob import PureGaussianParam, qs_pure_gaussian
 
 S_VALUES = [-0.25, -0.5, -1.0, -2.0, -3.0]
@@ -162,10 +165,114 @@ def test_bound_objective_is_extremal_phase_pure_gaussian():
                 assert bound_objective(m, n, s) == qs_pure_gaussian(par, s)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=400, deadline=None)
 @given(n=hst.floats(0, 10), s=hst.floats(-3, 0))
 def test_pure_bound_convex_and_strictly_decreasing_property(n, s):
     h = 0.05
     b0, b1, b2 = (pure_bound(n + k * h, s)[0] for k in range(3))
     assert b1 < b0 and b2 < b1
     assert b0 - 2.0 * b1 + b2 >= -1e-10
+
+
+def assert_near_minimizer(n, s):
+    """pure_bound against the bounded minimization, within 1e-12 relative
+    (the absolute floor covers bounds that underflow at s near 0)."""
+    bound, m_opt = pure_bound(n, s)
+    oracle = _minimized_bound(n, s)[0]
+    assert abs(bound - oracle) <= 1e-12 * oracle + 1e-300
+    assert 0.0 <= m_opt <= n
+
+
+# Inputs on which a Newton loop on P(x) stopped only by |dx| <= 4e-16 x can
+# cycle forever, at |dx| / x of about 4.1e-16 to 4.5e-16, depending on how P
+# is evaluated.
+@pytest.mark.parametrize("n,s", [(0.016940485882474217, -0.13948505429128877)])
+def test_pure_bound_returns_on_roundoff_cycle_inputs(n, s):
+    assert_near_minimizer(n, s)
+
+
+def test_pure_bound_matches_minimizer_on_random_points():
+    rng = np.random.default_rng(3)
+    for n, s in zip(rng.uniform(0, 60, 3000), rng.uniform(-4, 0, 3000)):
+        assert_near_minimizer(n, s)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=hst.floats(0, 60), s=hst.floats(-4, 0))
+def test_pure_bound_exact_property(n, s):
+    assert_near_minimizer(n, s)
+    bound, m_opt = pure_bound(n, s)
+    if s == -1.0:  # the cube-root closed form cancels to ~1e-16 at small n
+        assert m_opt == pytest.approx(m_minus1_closed(n), rel=1e-12, abs=1e-14)
+    if s == 0.0:
+        assert bound == pytest.approx(wigner_bound_closed(n), rel=1e-12,
+                                      abs=1e-300)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=hst.lists(hst.floats(0, 60), min_size=1, max_size=20),
+       s=hst.floats(-4, 0))
+def test_pure_bound_array_equals_scalar_property(n, s):
+    bounds, m_opt = pure_bound(np.array(n), s)
+    assert bounds.shape == m_opt.shape == (len(n),)
+    for i, v in enumerate(n):
+        assert (bounds[i], m_opt[i]) == pure_bound(v, s)
+
+
+@pytest.mark.parametrize("n", [0.1, 0.5, 1.0, 2.3, 5.0, 20.0, 60.0])
+def test_pure_bound_exact_at_closed_forms(n):
+    # the minimizer's m_opt is off by up to 5e-7; the quartic root is not
+    assert pure_bound(n, -1)[1] == pytest.approx(m_minus1_closed(n), rel=1e-12)
+    assert pure_bound(n, 0)[1] == n * n / (2 * n + 1)
+
+
+@pytest.mark.parametrize("n", [-1.0, np.inf, np.nan, [0.5, -1.0], [1.0, np.nan]])
+def test_pure_bound_rejects_bad_photon_numbers(n):
+    with pytest.raises(ValueError):
+        pure_bound(np.array(n) if isinstance(n, list) else n, -1)
+
+
+def scipy_bounded(func, lo, hi, xatol):
+    from scipy.optimize import minimize_scalar
+
+    # scipy's iterate is a numpy float, so 0 * inf next to an infinite value
+    # warns there; the port computes with Python floats and does not
+    with np.errstate(invalid="ignore"):
+        res = minimize_scalar(func, bounds=(lo, hi), method="bounded",
+                              options={"xatol": xatol, "maxiter": 500})
+    return float(res.x), float(res.fun)
+
+
+def test_fminbound_equals_scipy_on_bound_objectives():
+    rng = np.random.default_rng(17)
+    for n, s in zip(rng.uniform(0, 60, 300), rng.uniform(-4, 0, 300)):
+        def objective(m):
+            return float(bound_objective(m, n, s))
+
+        xatol = 1e-13 * max(1.0, n)
+        assert _fminbound(objective, 0.0, n, xatol) == \
+            scipy_bounded(objective, 0.0, n, xatol)
+
+
+def test_fminbound_equals_scipy_on_refine_objectives():
+    # refine_map's objectives: a witness over a map parameter t within 1 of
+    # its seed, inf where the mapped state leaves the cutoff
+    rng = np.random.default_rng(19)
+    for _ in range(300):
+        t0, c, w = rng.uniform(-2, 2), rng.uniform(-3, 3), rng.uniform(0.1, 5)
+        edge = c + rng.uniform(0.2, 1.5)
+
+        def objective(t):
+            return float(w * (t - c) ** 2 + math.sin(3 * t)) if t < edge else math.inf
+
+        assert _fminbound(objective, t0 - 1, t0 + 1, 1e-6) == \
+            scipy_bounded(objective, t0 - 1, t0 + 1, 1e-6)
+
+
+def test_fminbound_with_infinite_objective():
+    def objective(t):
+        return math.inf if t > 1.5 else float((t - 0.25) ** 2)
+
+    x, value = _fminbound(objective, 0.0, 2.0, 1e-6)
+    assert (x, value) == scipy_bounded(objective, 0.0, 2.0, 1e-6)
+    assert x == pytest.approx(0.25, abs=1e-5) and math.isfinite(value)

@@ -3,6 +3,7 @@ import pytest
 
 import qng.error_model
 from qng.cli import main
+from qng.quasiprob import S_MIN
 from qng.witness import StateFamily
 
 
@@ -98,6 +99,23 @@ class TestWitnessCurve:
                            "--step", "1", "--s", "0", "--eps", "0"], capsys)
         assert code == 2  # a curve takes exactly one family member
 
+    @pytest.mark.parametrize("s,code", [
+        (S_MIN, 0), (np.nextafter(S_MIN, -np.inf), 2), (-1e200, 2)],
+        ids=["floor", "past-floor", "huge"])
+    def test_ordering_parameter_floor(self, capsys, s, code):
+        # below the floor the bound and the criterion-b ordering overflowed:
+        # a RuntimeWarning and delta nan, with exit 0
+        got = main(["witness-curve", "--family", "pac", "--alpha", "2",
+                    f"--s={float(s)!r}", "--eps", "0.5", "--criterion", "b"])
+        captured = capsys.readouterr()
+        assert got == code
+        if code == 0:
+            delta = float(captured.out.strip().split("\n")[1].split(",")[2])
+            assert np.isfinite(delta)
+        else:
+            assert captured.out == ""
+            assert captured.err.startswith("error: ordering parameter")
+
 
 @pytest.mark.parametrize("args", [
     ["error-bars", "--s", "-1", "--n-avg", "0..1", "--step", "inf"],
@@ -189,7 +207,7 @@ class TestErrorBars:
         def no_bound(*args):
             raise AssertionError("pure_bound called past the support cap")
 
-        monkeypatch.setattr(qng.error_model, "pure_bound", no_bound)
+        monkeypatch.setattr(qng.error_model, "_minimized_bound", no_bound)
         code = main(["error-bars", "--s", "-1", "--n-avg", n_avg, "--k", k])
         captured = capsys.readouterr()
         assert code == 2

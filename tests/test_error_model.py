@@ -8,7 +8,8 @@ import pytest
 
 import qng
 import qng.error_model
-from qng.bounds import MAX_GRID_POINTS, bound_at_zero, pure_bound
+from qng.bounds import (MAX_GRID_POINTS, _minimized_bound, bound_at_zero,
+                        pure_bound)
 from qng.error_model import (POISSON_MASS, BoundErrorRow, ErrorSpec,
                              bound_error_curve, normalized_bound_stats)
 
@@ -83,8 +84,9 @@ def test_curve_rows_structure():
     assert rows[0].n_avg == 0 and rows[0].mean == 1.0
 
 
-def test_import_leaves_scipy_stats_unloaded():
-    code = "import sys, qng.cli; print('scipy.stats' in sys.modules)"
+@pytest.mark.parametrize("module", ["scipy.stats", "scipy.optimize"])
+def test_import_leaves_scipy_stats_unloaded(module):
+    code = f"import sys, qng.cli; print({module!r} in sys.modules)"
     src = str(Path(qng.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
@@ -102,7 +104,8 @@ def test_matches_scipy_stats_poisson(k):
             lam = k * n_avg
             counts = np.arange(int(poisson.ppf(POISSON_MASS, lam)) + 1)
             weights = poisson.pmf(counts, lam)
-            values = np.array([pure_bound(c / k, s)[0] for c in counts]) / scale
+            values = np.array([_minimized_bound(c / k, s)[0]
+                               for c in counts]) / scale
             mean = float(np.dot(weights, values) / weights.sum())
             second = float(np.dot(weights, values**2) / weights.sum())
             std = float(np.sqrt(max(second - mean**2, 0.0)))
@@ -116,6 +119,6 @@ def test_poisson_support_capped(monkeypatch, n_avg, k):
     def no_bound(*args):
         raise AssertionError("pure_bound called past the support cap")
 
-    monkeypatch.setattr(qng.error_model, "pure_bound", no_bound)
+    monkeypatch.setattr(qng.error_model, "_minimized_bound", no_bound)
     with pytest.raises(ValueError, match=str(MAX_GRID_POINTS)):
         normalized_bound_stats(-1, n_avg, k)

@@ -7,9 +7,10 @@ import qng.witness
 from qng.fock import (ChannelSpec, GaussianMapSpec, apply_loss, apply_map,
                       make_coherent, make_displaced_squeezed, make_fock, make_pac,
                       make_pss)
-from qng.quasiprob import (PureGaussianParam, SParam, qs_at, qs_fock,
+from qng.bounds import pure_bound
+from qng.quasiprob import (S_MIN, PureGaussianParam, SParam, qs_at, qs_fock,
                            qs_origin, qs_origin_error, qs_pure_gaussian)
-from qng.witness import delta_a
+from qng.witness import StateFamily, delta_a, witness_at_loss
 
 S_VALUES = [0.0, -0.25, -0.5, -1.0, -2.0, -3.0]
 
@@ -17,6 +18,19 @@ S_VALUES = [0.0, -0.25, -0.5, -1.0, -2.0, -3.0]
 def test_sparam_rejects_positive():
     with pytest.raises(ValueError):
         SParam(0.5)
+
+
+def test_sparam_floor():
+    # at the floor the origin formulas stay finite; just past it s is refused
+    assert SParam(S_MIN).s == S_MIN
+    for s in [np.nextafter(S_MIN, -np.inf), -1e200, -np.inf, np.nan]:
+        with pytest.raises(ValueError, match="ordering parameter"):
+            SParam(s)
+    for family in [StateFamily("pac", 2.0), StateFamily("pss", 0.5)]:
+        for eps in [0.0, 0.5, 1.0 - 2.0**-53]:
+            rep = witness_at_loss(family, S_MIN, eps, "b")
+            assert np.isfinite(rep.delta) and rep.bound > 0
+    assert np.all(pure_bound(np.array([0.0, 1.0, 1e70]), S_MIN)[0] >= 0)
 
 
 def test_vacuum_husimi():

@@ -495,6 +495,51 @@ class TestThresholds:
         with pytest.raises(ValueError):
             epsilon_threshold(StateFamily("fock", 1), 0, "a", tol=1e-8)
 
+    @pytest.mark.parametrize("tol", [1.5, np.nan])
+    def test_tol_above_one_rejected(self, tol):
+        # the array scan evaluates no ChannelSpec, so the range is checked here
+        with pytest.raises(ValueError, match="tol"):
+            epsilon_threshold(StateFamily("fock", 1), 0, "a", tol=tol)
+
+    @pytest.mark.parametrize("family,criterion", [
+        (StateFamily("fock", 3), "a"), (StateFamily("fock", 3), "b"),
+        (StateFamily("pss", 0.5), "a"), (StateFamily("pac", 0.0), "b")])
+    def test_scan_is_one_bound_call(self, monkeypatch, family, criterion):
+        sizes = []
+        bound = qng.witness.pure_bound
+
+        def counted(n, s):
+            sizes.append(np.size(n))
+            return bound(n, s)
+
+        monkeypatch.setattr(qng.witness, "pure_bound", counted)
+        epsilon_threshold(family, -1, criterion, tol=1e-3)
+        assert sizes[0] == qng.witness.SCAN_POINTS
+        assert all(size == 1 for size in sizes[1:])  # the bisection
+
+    @pytest.mark.parametrize("family,s,tol", [
+        (StateFamily("fock", 2), 0.0, 1e-5), (StateFamily("fock", 5), -2.0, 1e-5),
+        (StateFamily("pac", 2.0), -0.5, 1e-4), (StateFamily("pss", 0.5), -1.0, 1e-3),
+        (StateFamily("fock", 1), -1.0, 1e-5)])
+    def test_array_scan_matches_pointwise_scan(self, family, s, tol):
+        # the scan as it ran before: one witness per grid point from the top
+        base = family.build(80)
+
+        def delta(eps):
+            return qng.witness._witness(base, family, s, eps, "a", 0.0).delta
+
+        grid = np.linspace(tol, 1.0 - tol, qng.witness.SCAN_POINTS)
+        star = "one" if delta(grid[-1]) <= 0 else "none"
+        for i in range(grid.size - 2, -1, -1) if star == "none" else ():
+            if delta(grid[i]) <= 0:
+                lo, hi = grid[i], grid[i + 1]
+                while hi - lo > tol:
+                    mid = 0.5 * (lo + hi)
+                    lo, hi = (mid, hi) if delta(mid) <= 0 else (lo, mid)
+                star = 0.5 * (lo + hi)
+                break
+        assert epsilon_threshold(family, s, "a", tol=tol).epsilon_star == star
+
 
 def test_soundness_on_hull_samples():
     # small-sample version of the full randomized soundness run
