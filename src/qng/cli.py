@@ -19,6 +19,11 @@ from .witness import StateFamily, epsilon_threshold, witness_at_loss
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
+# Largest --cutoff: one d x d float64 state is 134 MB at d = 4097, and the
+# apply_loss fallback of criterion b holds about five such arrays. Far above
+# it the arrays may be allocated lazily and the process killed from outside,
+# so running out of memory cannot be reported as a numerical failure.
+MAX_CUTOFF = 4096
 
 
 def _fmt(x) -> str:
@@ -137,9 +142,10 @@ def build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--out", default=None)
     pb.set_defaults(func=cmd_bound_curve)
 
-    def positive_int(text: str) -> int:
-        if int(text) < 1:
-            raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
+    def cutoff(text: str) -> int:
+        if not 1 <= int(text) <= MAX_CUTOFF:
+            raise argparse.ArgumentTypeError(
+                f"must be in [1, {MAX_CUTOFF}], got {text}")
         return int(text)
 
     def finite_nonnegative(text: str) -> float:
@@ -159,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="PSS squeezing or range lo..hi")
         p.add_argument("--s", required=True,
                        help="comma-separated ordering parameters, all <= 0")
-        p.add_argument("--cutoff", type=positive_int,
+        p.add_argument("--cutoff", type=cutoff,
                        default=os.environ.get("QNG_DEFAULT_CUTOFF", "80"))
         p.add_argument("--nbar-slack", type=finite_nonnegative, default=0.0)
         p.add_argument("--out", default=None)
@@ -198,7 +204,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # OSError: an unwritable --out
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (TruncationError, ArithmeticError, MemoryError) as exc:

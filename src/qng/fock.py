@@ -134,8 +134,15 @@ def _trusted_state(cutoff: int, rho: np.ndarray, tail_bound: float) -> Truncated
 
 
 def _state_from_vector(psi: np.ndarray, cutoff: int, what: str) -> TruncatedState:
-    """Pure state |psi><psi|; the norm missing from psi is its tail."""
-    tail = max(0.0, 1.0 - float(np.sum(np.abs(psi) ** 2)))
+    """Pure state |psi><psi|; the norm missing from psi is its tail.
+
+    A kept norm above 1 means the amplitudes cancelled in floating point (a
+    PSS r of about 100 or more): no cutoff holds that state either.
+    """
+    norm = float(np.sum(np.abs(psi) ** 2))
+    if norm > 1.0 + TRACE_TOL:
+        raise TruncationError(f"cutoff {cutoff} keeps norm {norm:.3e} > 1 for {what}")
+    tail = max(0.0, 1.0 - norm)
     if tail >= TRUNCATION_LIMIT:
         raise TruncationError(f"cutoff {cutoff} leaves tail {tail:.3e} for {what}")
     if cutoff < 1:

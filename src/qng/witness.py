@@ -24,14 +24,15 @@ O(cutoff), and n_bar follows from the lossless moments in closed form (the
 untruncated mean, never below the kept-level sum). A map whose U' psi puts
 more than MAP_TRUNCATION_LIMIT past the cutoff (beta' grows as 1/sqrt(eta))
 is evaluated on the lossy matrix instead: apply_loss, built once per loss
-value, then delta_b, which raises TruncationError as before.
+value, then delta_b, which raises TruncationError as before. Reports are
+cached per loss value, so the refined map's report is reused.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -146,16 +147,13 @@ def q_opt(r: float, epsilon: float) -> float:
     return float(-np.arccosh(mu))
 
 
-def refine_map(state: TruncatedState, s, seed: GaussianMapSpec) -> GaussianMapSpec:
+def _refine(witness, seed: GaussianMapSpec) -> GaussianMapSpec:
     """Locally improve the one-parameter map family around a seed.
 
-    Minimizes the second-criterion witness delta_b(state, s, map) over a real
-    squeeze if the seed squeezes, else over a real displacement, within 1 of
-    the seed; returns the seed itself unless a map beats it. The witnesses
-    pass a _LossyFamily as state, which evaluates (and keeps) the reports of
-    its own s and nbar_slack instead.
+    Minimizes witness(map).delta over a real squeeze if the seed squeezes,
+    else over a real displacement, within 1 of the seed; returns the seed
+    itself unless a map beats it.
     """
-    witness = state if isinstance(state, _LossyFamily) else partial(delta_b, state, s)
     squeeze = seed.squeeze != 0
 
     def make(t: float) -> GaussianMapSpec:
@@ -179,6 +177,12 @@ def refine_map(state: TruncatedState, s, seed: GaussianMapSpec) -> GaussianMapSp
     return seed
 
 
+def refine_map(state: TruncatedState, s, seed: GaussianMapSpec) -> GaussianMapSpec:
+    """Map near seed that minimizes the second-criterion witness
+    delta_b(state, s, map); see _refine."""
+    return _refine(partial(delta_b, state, s), seed)
+
+
 def _seed_map(family: StateFamily, epsilon: float) -> GaussianMapSpec:
     if family.kind == "pac":
         return GaussianMapSpec(displacement=beta_opt(family.param, epsilon))
@@ -187,31 +191,18 @@ def _seed_map(family: StateFamily, epsilon: float) -> GaussianMapSpec:
     return GaussianMapSpec()
 
 
-class _LossyFamily:
-    """The built PAC or PSS state base after loss, witnessed under Gaussian maps
-    through the reordering identity of the module docstring.
-
-    Calling it with a map gives that map's second-criterion report; reports
-    are kept per map, so the map refine_map returns is not evaluated twice.
+def _lossy_witness(base: TruncatedState, family: StateFamily, channel: ChannelSpec,
+                   sv: float, nbar_slack: float, base_moments):
+    """Second-criterion witness of the built PAC or PSS state base after loss,
+    as a cached function of the map (the identity of the module docstring);
+    the fallback's lossy matrix is built at most once.
     """
+    eps = channel.epsilon
+    eta = 1.0 - eps
+    lossy = cache(partial(apply_loss, base, channel))
 
-    def __init__(self, base: TruncatedState, family: StateFamily,
-                 channel: ChannelSpec, s, nbar_slack: float, base_moments):
-        self.base, self.family, self.channel = base, family, channel
-        self.s, self.nbar_slack = _coerce_s(s), nbar_slack
-        self.base_moments = base_moments
-        self._lossy: TruncatedState | None = None
-        self._reports: dict[GaussianMapSpec, WitnessReport] = {}
-
-    def __call__(self, gmap: GaussianMapSpec) -> WitnessReport:
-        report = self._reports.get(gmap)
-        if report is None:
-            report = self._reports[gmap] = self._evaluate(gmap)
-        return report
-
-    def _evaluate(self, gmap: GaussianMapSpec) -> WitnessReport:
-        eps, sv = self.channel.epsilon, self.s
-        eta = 1.0 - eps
+    @cache
+    def witness(gmap: GaussianMapSpec) -> WitnessReport:
         beta, q = complex(gmap.displacement), float(gmap.squeeze)
         if eps == 0.0:  # no loss: U' = U (at s = 0 sigma+- would be 0/0)
             s2, q2 = sv, -q
@@ -222,20 +213,20 @@ class _LossyFamily:
             q2 = 0.25 * math.log(sigma_p / sigma_m)
         beta2 = complex(math.exp(-q - q2) * beta.real,
                         math.exp(q + q2) * beta.imag) / math.sqrt(eta)
-        psi = _family_vector(self.family.kind, self.family.param, self.base.cutoff,
+        psi = _family_vector(family.kind, family.param, base.cutoff,
                              GaussianMapSpec(displacement=beta2, squeeze=-q2))
         probs = np.abs(psi) ** 2
         if 1.0 - float(np.sum(probs)) > MAP_TRUNCATION_LIMIT:
-            if self._lossy is None:
-                self._lossy = apply_loss(self.base, self.channel)
-            return delta_b(self._lossy, sv, gmap, nbar_slack=self.nbar_slack)
-        n0, a1, a2 = self.base_moments
+            return delta_b(lossy(), sv, gmap, nbar_slack=nbar_slack)
+        n0, a1, a2 = base_moments
         mu, nu = math.cosh(q), math.sinh(q)
         shift = beta.conjugate() * (mu * a1 + nu * a1.conjugate())
         nbar = (eta * (math.cosh(2.0 * q) * n0 + math.sinh(2.0 * q) * a2.real)
                 + nu * nu + abs(beta) ** 2 + 2.0 * math.sqrt(eta) * shift.real)
-        report = _report(sv, _origin_series(probs, s2) / eta, nbar + self.nbar_slack)
+        report = _report(sv, _origin_series(probs, s2) / eta, nbar + nbar_slack)
         return replace(report, map=gmap)
+
+    return witness
 
 
 def _check_criterion(criterion: str) -> None:
@@ -244,25 +235,26 @@ def _check_criterion(criterion: str) -> None:
 
 
 def _witness(base: TruncatedState, family: StateFamily, s, epsilon: float,
-             criterion: str, nbar_slack: float, base_moments=None) -> WitnessReport:
-    """Witness of the built family state base after loss epsilon; criterion b
-    takes moments(base) from base_moments when given."""
+             criterion: str, nbar_slack: float, base_moments) -> WitnessReport:
+    """Witness of the built family state base, with base_moments =
+    moments(base), after loss epsilon."""
     channel = ChannelSpec(epsilon)
     _check_criterion(criterion)
     seed = _seed_map(family, channel.epsilon) if criterion == "b" else None
     if seed is None or seed.is_identity:
         report = _criterion_a(photon_probs(base), s, channel.epsilon, nbar_slack)
         return report if seed is None else replace(report, map=seed)
-    lossy = _LossyFamily(base, family, channel, s, nbar_slack,
-                         moments(base) if base_moments is None else base_moments)
-    return lossy(refine_map(lossy, s, seed))
+    witness = _lossy_witness(base, family, channel, _coerce_s(s), nbar_slack,
+                             base_moments)
+    return witness(_refine(witness, seed))
 
 
 def witness_at_loss(family: StateFamily, s, epsilon: float, criterion: str,
                     cutoff: int = 80, nbar_slack: float = 0.0) -> WitnessReport:
     """Witness value of a family member after loss, map-optimized for 'b'."""
     _check_slack(nbar_slack)
-    return _witness(family.build(cutoff), family, s, epsilon, criterion, nbar_slack)
+    base = family.build(cutoff)
+    return _witness(base, family, s, epsilon, criterion, nbar_slack, moments(base))
 
 
 def epsilon_threshold(family: StateFamily, s, criterion: str = "a",
@@ -278,14 +270,15 @@ def epsilon_threshold(family: StateFamily, s, criterion: str = "a",
     a, or identity seeds), the scan is one array evaluation.
     """
     sv = _coerce_s(s)
-    if not 1e-6 <= tol <= 1.0:  # NaN fails this too
-        raise ValueError(f"tol must be in [1e-6, 1], got {tol}")
+    # above 0.5 the grid tol..1-tol would run from high loss to low loss
+    if not 1e-6 <= tol <= 0.5:  # NaN fails this too
+        raise ValueError(f"tol must be in [1e-6, 0.5], got {tol}")
     _check_slack(nbar_slack)
     _check_criterion(criterion)
     base = family.build(cutoff)
     grid = np.linspace(tol, 1.0 - tol, SCAN_POINTS)
     batch = criterion == "a" or all(_seed_map(family, e).is_identity for e in grid)
-    base_moments = None if batch else moments(base)
+    base_moments = moments(base)
 
     def delta(eps: float) -> float:
         return _witness(base, family, sv, eps, criterion, nbar_slack,

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import qng.error_model
-from qng.cli import main
+from qng.cli import MAX_CUTOFF, main
 from qng.quasiprob import S_MIN
 from qng.witness import StateFamily
 
@@ -44,6 +44,18 @@ class TestBoundCurve:
         assert code == 0
         assert out_file.read_text().startswith("n,bound,m_opt")
 
+    def test_unwritable_out_rejected(self, tmp_path, capsys):
+        # a missing directory used to end in a FileNotFoundError traceback
+        out_file = tmp_path / "missing" / "x.csv"
+        code = main(["witness-curve", "--family", "fock", "--m", "2", "--s",
+                     "0", "--eps", "0.3", "--out", str(out_file)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert captured.err.count("\n") == 1
+        assert not out_file.exists()
+
 
 class TestThreshold:
     def test_fock_scan_header_and_sentinel(self, capsys):
@@ -75,6 +87,56 @@ class TestThreshold:
                   "--cutoff", cutoff])
         assert exc.value.code == 2
         assert "--cutoff" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,env", [
+        (["--cutoff", str(MAX_CUTOFF + 1)], None),
+        (["--cutoff", "1000000000"], None),
+        ([], str(MAX_CUTOFF + 1)),
+    ], ids=["flag", "huge-flag", "env"])
+    def test_cutoff_above_ceiling_rejected(self, monkeypatch, capsys, argv,
+                                           env):
+        # a huge cutoff used to be killed from outside instead of exiting 3
+        def no_build(self, cutoff):
+            raise AssertionError(f"state built at cutoff {cutoff}")
+
+        monkeypatch.setattr(StateFamily, "build", no_build)
+        if env is not None:
+            monkeypatch.setenv("QNG_DEFAULT_CUTOFF", env)
+        with pytest.raises(SystemExit) as exc:
+            main(["threshold", "--family", "fock", "--m", "1", "--s", "0",
+                  *argv])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--cutoff" in captured.err and str(MAX_CUTOFF) in captured.err
+
+    def test_cutoff_at_ceiling_accepted(self):
+        from qng.cli import build_parser
+        args = build_parser().parse_args(
+            ["threshold", "--family", "fock", "--m", "1", "--s", "0",
+             "--cutoff", str(MAX_CUTOFF)])
+        assert args.cutoff == MAX_CUTOFF
+
+    @pytest.mark.parametrize("tol", ["0.6", "0.9", "1"])
+    def test_tol_above_half_rejected(self, capsys, tol):
+        # the scan used to run from high loss to low loss and answer "one"
+        code = main(["threshold", "--family", "fock", "--m", "3", "--s", "0",
+                     "--tol", tol])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: tol must be in [1e-6, 0.5]")
+        assert captured.err.count("\n") == 1
+
+    def test_huge_pss_squeezing_is_numerical_failure(self, capsys):
+        # cosh r and sinh r cancel: this used to exit 2 on a trace check
+        code = main(["threshold", "--family", "pss", "--r", "400", "--s", "0",
+                     "--criterion", "b"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err.startswith("numerical failure:")
+        assert captured.err.count("\n") == 1
 
     def test_missing_family_param(self, capsys):
         code, _ = run_cli(["threshold", "--family", "pac", "--s", "0"],
@@ -222,12 +284,12 @@ def test_out_of_memory_is_numerical_failure(monkeypatch, capsys):
 
     monkeypatch.setattr(StateFamily, "build", no_memory)
     code = main(["threshold", "--family", "fock", "--m", "1", "--s", "0",
-                 "--cutoff", "100000"])
+                 "--cutoff", str(MAX_CUTOFF)])
     captured = capsys.readouterr()
     assert code == 3
     assert captured.out == ""
     assert captured.err == ("numerical failure: Unable to allocate the cutoff "
-                            "100000 state\n")
+                            f"{MAX_CUTOFF} state\n")
 
 
 def test_deterministic_output(capsys):

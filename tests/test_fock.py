@@ -96,6 +96,12 @@ class TestConstructors:
         st = make_pss(1e-4, 60)
         assert photon_probs(st)[1] == pytest.approx(1.0, abs=1e-6)
 
+    def test_pss_huge_squeezing_is_truncation(self):
+        # the cosh r and sinh r terms cancel in floating point: the kept norm
+        # reads 1.1e13, and no cutoff could hold the state anyway
+        with pytest.raises(TruncationError, match="norm"):
+            make_pss(100, 80)
+
     def test_squeezed_vacuum_photon_number(self):
         st = make_squeezed(0.3, 40)
         assert moments(st)[0] == pytest.approx(np.sinh(0.3) ** 2, abs=1e-10)

@@ -11,8 +11,9 @@ from qng.fock import (ChannelSpec, GaussianMapSpec, TruncatedState,
                       TruncationError, apply_loss, apply_map, make_coherent,
                       make_fock, make_pac, make_pss, mapped_photon_probs, mix,
                       moments)
-from qng.witness import (StateFamily, _LossyFamily, beta_opt, delta_a, delta_b,
-                         epsilon_threshold, q_opt, refine_map, witness_at_loss)
+from qng.witness import (StateFamily, _lossy_witness, _refine, beta_opt, delta_a,
+                         delta_b, epsilon_threshold, q_opt, refine_map,
+                         witness_at_loss)
 
 
 class TestDeltaA:
@@ -213,8 +214,8 @@ class TestCriterionBFromPhotonNumbers:
 
 def lossy_family(family, s, eps, nbar_slack=0.1):
     base = family.build(80)
-    return _LossyFamily(base, family, ChannelSpec(eps), s, nbar_slack,
-                        moments(base))
+    return _lossy_witness(base, family, ChannelSpec(eps), float(s), nbar_slack,
+                          moments(base))
 
 
 def direct_oracle(family, s, eps, gmap, nbar_slack=0.1, cutoff=80):
@@ -262,16 +263,21 @@ class TestCriterionBFromLosslessVector:
         # each path drops what its mapped state puts past the cutoff, and
         # such a loss moves an origin value by at most 2/(pi(1-s)) times it
         gmap = GaussianMapSpec(displacement=complex(re, im), squeeze=q)
-        vectors = []
-        family_vector = qng.witness._family_vector
+        vectors, losses = [], []
+        family_vector, loss = qng.witness._family_vector, qng.witness.apply_loss
 
         def kept(*args):
             vectors.append(family_vector(*args))
             return vectors[-1]
 
-        view = lossy_family(family, s, eps, nbar_slack)
+        def counted_loss(*args):
+            losses.append(args)
+            return loss(*args)
+
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(qng.witness, "_family_vector", kept)
+            mp.setattr(qng.witness, "apply_loss", counted_loss)
+            view = lossy_family(family, s, eps, nbar_slack)
             try:
                 fast = view(gmap)
             except TruncationError:
@@ -279,9 +285,9 @@ class TestCriterionBFromLosslessVector:
         try:
             oracle = direct_oracle(family, s, eps, gmap, nbar_slack)
         except TruncationError:
-            assert fast is None or view._lossy is None
+            assert fast is None or not losses
             return
-        if view._lossy is not None:  # the vector did not fit: direct path
+        if losses:  # the vector did not fit: direct path
             assert fast == oracle
             return
         lossy = apply_loss(family.build(80), ChannelSpec(eps))
@@ -328,23 +334,39 @@ class TestCriterionBFromLosslessVector:
         pytest.param(StateFamily("pss", 0.5), 0.6, id="pss"),
     ])
     def test_each_map_evaluated_once(self, monkeypatch, family, eps):
-        evaluated = []
-        evaluate = _LossyFamily._evaluate
+        # every evaluation makes one lossless vector; the closure's cache
+        # holds one report per map, and the refined map's report is reused
+        witnesses, after_refine, vectors = [], [], []
+        lossy_witness, refine = qng.witness._lossy_witness, qng.witness._refine
+        family_vector = qng.witness._family_vector
 
-        def counted(self, gmap):
-            evaluated.append(gmap)
-            return evaluate(self, gmap)
+        def kept(*args):
+            witnesses.append(lossy_witness(*args))
+            return witnesses[-1]
 
-        monkeypatch.setattr(_LossyFamily, "_evaluate", counted)
+        def refined(witness, seed):
+            gmap = refine(witness, seed)
+            after_refine.append(witness.cache_info())
+            return gmap
+
+        def counted(*args):
+            vectors.append(args)
+            return family_vector(*args)
+
+        monkeypatch.setattr(qng.witness, "_lossy_witness", kept)
+        monkeypatch.setattr(qng.witness, "_refine", refined)
+        monkeypatch.setattr(qng.witness, "_family_vector", counted)
         rep = witness_at_loss(family, -1, eps, "b")
-        assert len(set(evaluated)) == len(evaluated)
-        assert rep.map in evaluated
+        before, info = after_refine[0], witnesses[0].cache_info()
+        assert len(vectors) == info.misses == info.currsize
+        assert (info.hits, info.misses) == (before.hits + 1, before.misses)
+        assert witnesses[0](rep.map) is rep
 
-    def test_refine_map_returns_kept_seed_itself(self):
+    def test_refine_returns_kept_seed_itself(self):
         # at s = 0 only n_bar depends on the squeeze, and q_opt minimizes it
         view = lossy_family(StateFamily("pss", 0.5), 0, 0.6)
         seed = GaussianMapSpec(squeeze=q_opt(0.5, 0.6))
-        assert refine_map(view, 0, seed) is seed
+        assert _refine(view, seed) is seed
 
 
 class TestInputValidation:
@@ -435,6 +457,22 @@ class TestRefineMap:
         refined = refine_map(st, 0, seed)
         assert abs(refined.squeeze - q_opt(r, eps)) <= 1e-3
 
+    def test_keeps_seed_itself_when_no_map_fits(self, monkeypatch):
+        # D(t)|0> for t in [2, 4] leaves the cutoff-4 basis: every map raises
+        fitted = []
+        delta = qng.witness.delta_b
+
+        def counted(*args):
+            fitted.append(False)
+            report = delta(*args)
+            fitted[-1] = True
+            return report
+
+        monkeypatch.setattr(qng.witness, "delta_b", counted)
+        seed = GaussianMapSpec(displacement=3.0)
+        assert refine_map(make_fock(0, 4), 0, seed) is seed
+        assert len(fitted) > 1 and not any(fitted)  # the seed and every map
+
     def test_vacuum_keeps_identity(self):
         st = make_fock(0, 40)
         seed = GaussianMapSpec()
@@ -495,6 +533,17 @@ class TestThresholds:
         with pytest.raises(ValueError):
             epsilon_threshold(StateFamily("fock", 1), 0, "a", tol=1e-8)
 
+    @pytest.mark.parametrize("tol", [0.6, 0.9, 1.0])
+    def test_tol_above_half_rejected(self, tol):
+        # the grid tol..1-tol would run backwards, and the scan answer "one"
+        # for a Fock state that is inconclusive at loss 0.6
+        with pytest.raises(ValueError, match=r"tol must be in \[1e-6, 0.5\]"):
+            epsilon_threshold(StateFamily("fock", 3), 0, "a", tol=tol)
+
+    def test_tol_half_accepted(self):
+        res = epsilon_threshold(StateFamily("fock", 3), 0, "a", tol=0.5)
+        assert res.epsilon_star == "one"  # conclusive at the one grid point
+
     @pytest.mark.parametrize("tol", [1.5, np.nan])
     def test_tol_above_one_rejected(self, tol):
         # the array scan evaluates no ChannelSpec, so the range is checked here
@@ -526,7 +575,8 @@ class TestThresholds:
         base = family.build(80)
 
         def delta(eps):
-            return qng.witness._witness(base, family, s, eps, "a", 0.0).delta
+            return qng.witness._witness(base, family, s, eps, "a", 0.0,
+                                        moments(base)).delta
 
         grid = np.linspace(tol, 1.0 - tol, qng.witness.SCAN_POINTS)
         star = "one" if delta(grid[-1]) <= 0 else "none"
