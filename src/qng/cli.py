@@ -10,6 +10,7 @@ import argparse
 import math
 import os
 import sys
+from functools import cache
 
 from .bounds import MAX_GRID_POINTS, build_bound_curve
 from .error_model import ErrorSpec, bound_error_curve
@@ -19,11 +20,13 @@ from .witness import StateFamily, epsilon_threshold, witness_at_loss
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
-# Largest --cutoff: one d x d float64 state is 134 MB at d = 4097, and the
-# apply_loss fallback of criterion b holds about five such arrays. Far above
+# Largest --cutoff: one d x d float64 state is 134 MB at d = 4097. Far above
 # it the arrays may be allocated lazily and the process killed from outside,
 # so running out of memory cannot be reported as a numerical failure.
 MAX_CUTOFF = 4096
+# The --cutoff default. argparse converts a string default on every parse, so
+# the cutoff type reads QNG_DEFAULT_CUTOFF per call, not when the parser is built.
+_CUTOFF_FROM_ENV = "$QNG_DEFAULT_CUTOFF"
 
 
 def _fmt(x) -> str:
@@ -129,8 +132,18 @@ def cmd_error_bars(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad flag as a ValueError, so main exits 2 with one error line
+    as for every other invalid argument."""
+
+    def error(self, message: str):
+        raise ValueError(message)
+
+
+@cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """The CLI parser, built once per process."""
+    parser = _Parser(
         prog="qng",
         description="Quantum non-Gaussianity witnesses from phase-space bounds")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -143,10 +156,16 @@ def build_parser() -> argparse.ArgumentParser:
     pb.set_defaults(func=cmd_bound_curve)
 
     def cutoff(text: str) -> int:
-        if not 1 <= int(text) <= MAX_CUTOFF:
+        if text is _CUTOFF_FROM_ENV:
+            text = os.environ.get("QNG_DEFAULT_CUTOFF", "80")
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if not 1 <= value <= MAX_CUTOFF:
             raise argparse.ArgumentTypeError(
                 f"must be in [1, {MAX_CUTOFF}], got {text}")
-        return int(text)
+        return value
 
     def finite_nonnegative(text: str) -> float:
         value = float(text)
@@ -165,8 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="PSS squeezing or range lo..hi")
         p.add_argument("--s", required=True,
                        help="comma-separated ordering parameters, all <= 0")
-        p.add_argument("--cutoff", type=cutoff,
-                       default=os.environ.get("QNG_DEFAULT_CUTOFF", "80"))
+        p.add_argument("--cutoff", type=cutoff, default=_CUTOFF_FROM_ENV)
         p.add_argument("--nbar-slack", type=finite_nonnegative, default=0.0)
         p.add_argument("--out", default=None)
 
@@ -200,9 +218,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ValueError, OSError) as exc:  # OSError: an unwritable --out
         print(f"error: {exc}", file=sys.stderr)

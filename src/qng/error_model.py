@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, pdtr, pdtrik, xlogy
 
 from .bounds import MAX_GRID_POINTS, _minimized_bound, bound_at_zero
 from .quasiprob import _coerce_s
@@ -50,9 +49,11 @@ def normalized_bound_stats(s, n_avg: float, k: int) -> tuple[float, float]:
     scale = bound_at_zero(sv)
     if n_avg == 0:
         return 1.0, 0.0
-    lam = k * n_avg
     # Poisson quantile and pmf in the form of scipy.stats.poisson's _ppf and
-    # _pmf, without importing scipy.stats
+    # _pmf, without importing scipy.stats; scipy loads on the first call only
+    from scipy.special import gammaln, pdtr, pdtrik, xlogy
+
+    lam = k * n_avg
     quantile = pdtrik(POISSON_MASS, lam)
     if not quantile < MAX_GRID_POINTS:  # NaN fails this too
         raise ValueError(f"Poisson mean k*n_avg = {lam:g} needs over "

@@ -12,12 +12,12 @@ follow a recurrence in n seeded by that vector (Miatto & Quesada, Quantum 4,
 366 (2020)). Both are exact at any cutoff: no element depends on levels
 past it, so a Gaussian map needs no enlarged basis, the trace it pushes past
 the cutoff is known exactly, and its photon numbers need no mapped matrix.
-The PAC and PSS states are one ladder combination on a Gaussian vector, so
-one helper (_family_vector) builds them and, in O(cutoff), their image under
-any U = D(beta) S(q): the witnesses evaluate lossy criterion b on that image
-(Q_s(0) after loss eps and U is Q_s2(0) of U' psi / (1 - eps) for another
-Gaussian U', see qng.witness), and fall back to apply_loss when U' psi puts
-more than MAP_TRUNCATION_LIMIT past the cutoff.
+The PAC and PSS states are one ladder combination on a Gaussian vector, and
+so is their image under any U = D(beta) S(q): U psi = L D(gamma) S(r)|0>,
+L = lam a + kap a^dag + c. One helper (_family_ladder) works out lam, kap,
+c, gamma and r. _family_vector builds U psi from them in O(cutoff), and
+qng.quasiprob gives its origin value from them in closed form, which is how
+criterion b evaluates these states, with no vector.
 
 Validation runs at the boundary only: a TruncatedState built from a caller's
 matrix is checked in full (shape, Hermitian, trace, positive semidefinite),
@@ -36,7 +36,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
-from scipy.special import gammaln
 
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
@@ -187,37 +186,49 @@ def make_pss(r: float, cutoff: int) -> TruncatedState:
                               f"PSS r={r:.3g}")
 
 
-def _family_vector(kind: str, param: float, cutoff: int,
-                   gmap: GaussianMapSpec = GaussianMapSpec()) -> np.ndarray:
-    """Amplitudes on levels 0..cutoff of U psi, U = D(beta) S(q) from gmap.
+def _family_ladder(kind: str, param: float, beta: complex, q: float):
+    """Ladder form of U psi for U = D(beta) S(q): (lam, kap, c, gamma, r, norm)
+    with U psi = (lam a + kap a^dag + c) D(gamma) S(r)|0> / norm, up to a phase.
 
     psi is the PAC state a^dag D(alpha)|0> / sqrt(1 + |alpha|^2) (kind "pac")
     or the PSS state a S(r)|0> / sinh r = S(r)|1> = (a^dag cosh r - a sinh r)
     S(r)|0> (kind "pss"; this form has no 1/sinh r to cancel at small r):
-    a ladder combination L = lam a + kap a^dag on a Gaussian vector
-    D(b0) S(r0)|0>. With U a U^dag = (a - beta) cosh q - (a^dag - beta*) sinh q
-    and U D(b0) S(r0)|0> = D(beta + b0 cosh q + b0* sinh q) S(r0 + q)|0> up
-    to a phase, U psi takes one Gaussian vector (one level past the cutoff,
-    so every amplitude is exact) and two shifted multiplies. The norm missing
-    from the result is the probability U psi puts past the cutoff.
+    a ladder combination lam0 a + kap0 a^dag on a Gaussian vector
+    D(b0) S(r0)|0>. U a U^dag = (a - beta) cosh q - (a^dag - beta*) sinh q
+    moves the ladder, and U D(b0) S(r0)|0> = D(beta + b0 cosh q + b0* sinh q)
+    S(r0 + q)|0> up to a phase. c is real when beta is real.
     """
     if kind == "pac":
-        lam, kap, b0, r0 = 0.0, 1.0, complex(param), 0.0
-        norm = np.sqrt(1.0 + abs(param) ** 2)
+        lam0, kap0, b0, r0 = 0.0, 1.0, complex(param), 0.0
+        norm = math.sqrt(1.0 + param ** 2)
     else:
-        lam, kap, b0, r0, norm = -math.sinh(param), math.cosh(param), 0j, param, 1.0
-    beta, q = complex(gmap.displacement), float(gmap.squeeze)
+        lam0, kap0, b0, r0 = -math.sinh(param), math.cosh(param), 0j, param
+        norm = 1.0
     mu, nu = math.cosh(q), math.sinh(q)
-    g = displaced_squeezed_vector(beta + b0 * mu + b0.conjugate() * nu, r0 + q,
-                                  cutoff + 1)
+    lam, kap = lam0 * mu - kap0 * nu, kap0 * mu - lam0 * nu
+    shift = beta.real if beta.imag == 0 else beta  # a real map keeps psi real
+    c = -lam * shift - kap * shift.conjugate()
+    gamma = beta + b0 * mu + b0.conjugate() * nu
+    return lam, kap, c, gamma, r0 + q, norm
+
+
+def _family_vector(kind: str, param: float, cutoff: int,
+                   gmap: GaussianMapSpec = GaussianMapSpec()) -> np.ndarray:
+    """Amplitudes on levels 0..cutoff of U psi, U = D(beta) S(q) from gmap,
+    for the PAC or PSS state psi of _family_ladder.
+
+    One Gaussian vector (one level past the cutoff, so every amplitude is
+    exact) and two shifted multiplies. The norm missing from the result is
+    the probability U psi puts past the cutoff.
+    """
+    lam, kap, c, gamma, r, norm = _family_ladder(
+        kind, param, complex(gmap.displacement), float(gmap.squeeze))
+    g = displaced_squeezed_vector(gamma, r, cutoff + 1)
     root = np.sqrt(np.arange(1, cutoff + 2))
     lower = root * g[1:]  # (a g)_n = sqrt(n+1) g_{n+1}
     upper = np.zeros_like(lower)
     upper[1:] = root[:-1] * g[:-2]  # (a^dag g)_n = sqrt(n) g_{n-1}
-    g = g[:-1]
-    shift = beta.real if beta.imag == 0 else beta  # a real map keeps psi real
-    return ((lam * mu - kap * nu) * (lower - shift * g)
-            + (kap * mu - lam * nu) * (upper - np.conj(shift) * g)) / norm
+    return (lam * lower + kap * upper + c * g[:-1]) / norm
 
 
 def make_displaced_squeezed(beta: complex, q: float, cutoff: int) -> TruncatedState:
@@ -261,7 +272,10 @@ def apply_loss(state: TruncatedState, channel: ChannelSpec) -> TruncatedState:
     Operator-sum form: the Kraus operator removing l photons has elements
     K_l[m-l, m] = sqrt(C(m, l) (1-eps)^{m-l} eps^l). All weights come from
     one table of log factorials; each l is then one update of the output.
+    scipy is imported here, on the first call, and nowhere else in qng.fock.
     """
+    from scipy.special import gammaln
+
     eps = channel.epsilon
     if eps == 0:
         return state

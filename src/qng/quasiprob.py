@@ -5,16 +5,20 @@ average), s = -1 the Husimi Q-function (vacuum projection / pi). For s < -1
 the value corresponds to an inefficient vacuum detection with efficiency
 2/(1-s); the exact heterodyne rescaling constant is not modeled here. The
 witnesses and the hull bound share the photon-number series and the pure-Gaussian
-closed form written here.
+closed form written here; the PAC and PSS states under any Gaussian unitary
+have a closed form too (_family_origin).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import math
+
 import numpy as np
 
-from .fock import GaussianMapSpec, TruncatedState, mapped_photon_probs, photon_probs
+from .fock import (GaussianMapSpec, TruncatedState, _family_ladder,
+                   mapped_photon_probs, photon_probs)
 
 
 # Lowest ordering parameter accepted. From S_MIN up to 0 every origin formula
@@ -98,6 +102,43 @@ def _pure_gaussian_origin(n, m, sv: float, cos_phase):
     d = 1.0 + sv * (sv - 2.0 - 4.0 * m)
     num = (n - m) * (1.0 + 2.0 * m - 2.0 * np.sqrt(m * (1.0 + m)) * cos_phase - sv)
     return 2.0 * np.exp(-2.0 * num / d) / (np.pi * np.sqrt(d))
+
+
+def _family_origin(kind: str, param: float, beta: complex, q: float,
+                   s: float) -> float:
+    """Q_s(0) of D(beta) S(q) psi for the PAC or PSS state psi, in closed form.
+
+    D(beta) S(q) psi = (A + B a^dag)|G> / norm: fock._family_ladder gives
+    (lam a + kap a^dag + c)|G> on |G> = D(gamma) S(r)|0>, and a|G> =
+    (delta + t a^dag)|G> with t = tanh r, delta = gamma - t gamma*, so
+    A = lam delta + c and B = lam t + kap. With x = -(1+s)/(1-s),
+    Q_s(0) = 2/(pi(1-s)) <x^n>, and for f(x) = <G|x^n|G>
+
+        <x^n> norm^2 = |A|^2 f + 2 Re(A* B h) + |B|^2 x (f + x f'),
+
+    from a x^n a^dag = x^(n+1) (n+1), where h = <G|x^n a^dag|G> solves
+    h = x conj(delta f + t h) (x^n a^dag = x a^dag x^n): h = x f (delta* +
+    t x delta) / (1 - t^2 x^2). In s, with a+- = e^(+-2r) - s > 0,
+    2/(pi(1-s)) f = 2 exp(-2 (Re^2 gamma / a+ + Im^2 gamma / a-)) /
+    (pi sqrt(a+ a-)), x f'/f = sinh^2 r (1+s)^2 / (a+ a-) - (1-s^2)
+    (Re^2 gamma / a+^2 + Im^2 gamma / a-^2) and 1 - t^2 x^2 =
+    a+ a- / ((1-s) cosh r)^2 (sech^2 r at s = 0), so nothing cancels at
+    large |s| or large r.
+    """
+    lam, kap, c, gamma, r, norm = _family_ladder(kind, param, beta, q)
+    gamma = complex(gamma)
+    t, re2, im2 = math.tanh(r), gamma.real ** 2, gamma.imag ** 2
+    delta = gamma - t * gamma.conjugate()
+    a, b = lam * delta + c, lam * t + kap
+    x = -(1.0 + s) / (1.0 - s)
+    a_p, a_m = math.exp(2.0 * r) - s, math.exp(-2.0 * r) - s
+    d = a_p * a_m
+    gauss = 2.0 * math.exp(-2.0 * (re2 / a_p + im2 / a_m)) / (math.pi * math.sqrt(d))
+    h = x * (delta.conjugate() + t * x * delta) * ((1.0 - s) * math.cosh(r)) ** 2 / d
+    x_df = (math.sinh(r) ** 2 * (1.0 + s) ** 2 / d
+            - (1.0 - s * s) * (re2 / a_p ** 2 + im2 / a_m ** 2))
+    return gauss * (abs(a) ** 2 + 2.0 * b * (a.conjugate() * h).real
+                    + b * b * x * (1.0 + x_df)) / norm ** 2
 
 
 def qs_pure_gaussian(p: PureGaussianParam, s) -> float:

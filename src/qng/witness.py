@@ -2,30 +2,27 @@
 
 A witness compares the origin quasiprobability of a state against the
 Gaussian-hull bound at the state's mean photon number; a negative difference
-certifies the state lies outside the hull. Both criteria need only photon
-numbers p_m. Criterion b applies a Gaussian unitary (displacement or squeezing)
-chosen to make the comparison most favourable and reads the mapped p_m. For
-criterion a, pure loss eps maps G(z) = sum_m p_m z^m to G(eps + eta z),
-eta = 1 - eps, so Q_s(0) = 2/(pi(1-s)) G(eps - eta (1+s)/(1-s)), n_bar = eta n_bar_0.
-Criterion b with an identity seed (Fock states) is criterion a: no lossy matrix.
-A threshold whose every scan point is criterion a evaluates its scan as one
-array call, with one hull-bound call for all the scan's mean photon numbers.
+certifies the state lies outside the hull. Criterion b applies a Gaussian
+unitary (displacement or squeezing) chosen to make the comparison most
+favourable. For a caller's state both criteria read photon numbers p_m, the
+mapped ones for criterion b. For criterion a, pure loss eps maps
+G(z) = sum_m p_m z^m to G(eps + eta z), eta = 1 - eps, so
+Q_s(0) = 2/(pi(1-s)) G(eps - eta (1+s)/(1-s)), n_bar = eta n_bar_0.
+Criterion b with an identity seed (Fock states) is criterion a. A threshold
+whose every scan point is criterion a evaluates its scan as one array call,
+with one hull-bound call for all the scan's mean photon numbers.
 
-Criterion b of a PAC or PSS state after loss reads the lossless vector psi:
-loss plus s-ordering is another ordering behind another Gaussian unitary
-(Cahill & Glauber, Phys. Rev. 177, 1882 (1969)). For U = D(beta) S(q),
-eta = 1 - eps and sigma+- = (eps - s e^(-+2q)) / eta,
+Criterion b of a PAC or PSS state after loss needs no state: loss plus
+s-ordering is another ordering behind another Gaussian unitary (Cahill &
+Glauber, Phys. Rev. 177, 1882 (1969)). For U = D(beta) S(q), eta = 1 - eps
+and sigma+- = (eps - s e^(-+2q)) / eta,
 
     Q_s(0)[U L_eps(rho) U^dag] = Q_s2(0)[U' rho U'^dag] / eta,
 
 s2 = -sqrt(sigma+ sigma-), q2 = ln(sigma+ / sigma-) / 4, U' = D(beta') S(-q2),
-beta' = (e^(-q-q2) Re beta + i e^(q+q2) Im beta) / sqrt(eta). U' psi costs
-O(cutoff), and n_bar follows from the lossless moments in closed form (the
-untruncated mean, never below the kept-level sum). A map whose U' psi puts
-more than MAP_TRUNCATION_LIMIT past the cutoff (beta' grows as 1/sqrt(eta))
-is evaluated on the lossy matrix instead: apply_loss, built once per loss
-value, then delta_b, which raises TruncationError as before. Reports are
-cached per loss value, so the refined map's report is reused.
+beta' = (e^(-q-q2) Re beta + i e^(q+q2) Im beta) / sqrt(eta), and the origin
+value of U' psi is a closed form (quasiprob._family_origin) with no cutoff.
+Reports are cached per loss value, so the refined map's report is reused.
 """
 
 from __future__ import annotations
@@ -37,11 +34,10 @@ from functools import cache, partial
 import numpy as np
 
 from .bounds import _fminbound, pure_bound
-from .fock import (MAP_TRUNCATION_LIMIT, ChannelSpec, GaussianMapSpec,
-                   TruncatedState, TruncationError, _family_vector, apply_loss,
-                   make_fock, make_pac, make_pss, mapped_photon_probs, moments,
+from .fock import (ChannelSpec, GaussianMapSpec, TruncatedState, TruncationError,
+                   make_fock, make_pac, make_pss, mapped_photon_probs,
                    photon_probs)
-from .quasiprob import _coerce_s, _origin_series
+from .quasiprob import _coerce_s, _family_origin, _origin_series
 
 SCAN_POINTS = 200  # loss grid of the threshold scan
 
@@ -80,6 +76,18 @@ class StateFamily:
             return make_pac(self.param, cutoff)
         return make_pss(self.param, cutoff)
 
+    def moments(self) -> tuple[float, complex, complex]:
+        """Closed-form (mean photon number, <a>, <a^2>), with no cutoff."""
+        p, a2 = self.param, self.param ** 2
+        if self.kind == "pac":
+            return ((a2 * a2 + 3.0 * a2 + 1.0) / (1.0 + a2),
+                    complex(p * (a2 + 2.0) / (1.0 + a2)),
+                    complex(a2 * (a2 + 3.0) / (1.0 + a2)))
+        if self.kind == "pss":  # n_bar = 3 sinh^2 r + 1, one rounding of cosh 2r
+            return ((3.0 * math.cosh(2.0 * p) - 1.0) / 2.0, 0j,
+                    complex(1.5 * math.sinh(2.0 * p)))
+        return float(p), 0j, 0j
+
 
 @dataclass(frozen=True)
 class ThresholdResult:
@@ -90,25 +98,27 @@ class ThresholdResult:
     bisection_tol: float
 
 
-def _report(sv: float, q_value: float, nbar: float) -> WitnessReport:
+def _report(sv: float, q_value: float, nbar: float,
+            gmap: GaussianMapSpec | None = None) -> WitnessReport:
     """Witness of an origin value q_value against the hull bound at nbar."""
     bound = pure_bound(nbar, sv)[0]
     delta = q_value - bound
     return WitnessReport(s=sv, q_value=q_value, n_bar=nbar, bound=bound,
-                         delta=delta, conclusive=delta < 0)
+                         delta=delta, conclusive=delta < 0, map=gmap)
 
 
-def _after_loss(p, sv: float, epsilon, nbar_slack: float):
-    """Origin value and n_bar of photon numbers p after validated losses epsilon
-    (a float, or an array of losses)."""
-    nbar = (1.0 - epsilon) * float(np.dot(np.arange(p.size), p)) + nbar_slack
-    return _origin_series(p, sv, epsilon), nbar
+def _after_loss(p, nbar0: float, sv: float, epsilon, nbar_slack: float):
+    """Origin value and n_bar of photon numbers p with mean nbar0 after
+    validated losses epsilon (a float, or an array of losses)."""
+    return _origin_series(p, sv, epsilon), (1.0 - epsilon) * nbar0 + nbar_slack
 
 
-def _criterion_a(p, s, epsilon: float, nbar_slack: float) -> WitnessReport:
-    """First-criterion witness of photon numbers p after a validated loss epsilon."""
+def _photon_witness(p, s, nbar_slack: float,
+                    gmap: GaussianMapSpec | None = None) -> WitnessReport:
+    """First-criterion witness of the photon numbers p of a caller's state."""
     sv = _coerce_s(s)
-    return _report(sv, *_after_loss(p, sv, epsilon, nbar_slack))
+    nbar0 = float(np.dot(np.arange(p.size), p))
+    return _report(sv, *_after_loss(p, nbar0, sv, 0.0, nbar_slack), gmap)
 
 
 def _check_slack(nbar_slack: float) -> None:
@@ -118,14 +128,13 @@ def _check_slack(nbar_slack: float) -> None:
 
 def delta_a(state: TruncatedState, s, nbar_slack: float = 0.0) -> WitnessReport:
     """First-criterion witness: origin value minus hull bound at n_bar."""
-    return _criterion_a(photon_probs(state), s, 0.0, nbar_slack)
+    return _photon_witness(photon_probs(state), s, nbar_slack)
 
 
 def delta_b(state: TruncatedState, s, gmap: GaussianMapSpec,
             nbar_slack: float = 0.0) -> WitnessReport:
     """Second-criterion witness: first-criterion witness of the mapped state."""
-    report = _criterion_a(mapped_photon_probs(state, gmap), s, 0.0, nbar_slack)
-    return replace(report, map=gmap)
+    return _photon_witness(mapped_photon_probs(state, gmap), s, nbar_slack, gmap)
 
 
 def beta_opt(alpha: float, epsilon: float) -> complex:
@@ -191,15 +200,13 @@ def _seed_map(family: StateFamily, epsilon: float) -> GaussianMapSpec:
     return GaussianMapSpec()
 
 
-def _lossy_witness(base: TruncatedState, family: StateFamily, channel: ChannelSpec,
-                   sv: float, nbar_slack: float, base_moments):
-    """Second-criterion witness of the built PAC or PSS state base after loss,
-    as a cached function of the map (the identity of the module docstring);
-    the fallback's lossy matrix is built at most once.
-    """
+def _lossy_witness(family: StateFamily, channel: ChannelSpec, sv: float,
+                   nbar_slack: float):
+    """Second-criterion witness of a PAC or PSS state after loss, as a cached
+    function of the map (the identity of the module docstring)."""
     eps = channel.epsilon
     eta = 1.0 - eps
-    lossy = cache(partial(apply_loss, base, channel))
+    n0, a1, a2 = family.moments()
 
     @cache
     def witness(gmap: GaussianMapSpec) -> WitnessReport:
@@ -213,18 +220,12 @@ def _lossy_witness(base: TruncatedState, family: StateFamily, channel: ChannelSp
             q2 = 0.25 * math.log(sigma_p / sigma_m)
         beta2 = complex(math.exp(-q - q2) * beta.real,
                         math.exp(q + q2) * beta.imag) / math.sqrt(eta)
-        psi = _family_vector(family.kind, family.param, base.cutoff,
-                             GaussianMapSpec(displacement=beta2, squeeze=-q2))
-        probs = np.abs(psi) ** 2
-        if 1.0 - float(np.sum(probs)) > MAP_TRUNCATION_LIMIT:
-            return delta_b(lossy(), sv, gmap, nbar_slack=nbar_slack)
-        n0, a1, a2 = base_moments
+        q_value = _family_origin(family.kind, family.param, beta2, -q2, s2) / eta
         mu, nu = math.cosh(q), math.sinh(q)
         shift = beta.conjugate() * (mu * a1 + nu * a1.conjugate())
         nbar = (eta * (math.cosh(2.0 * q) * n0 + math.sinh(2.0 * q) * a2.real)
                 + nu * nu + abs(beta) ** 2 + 2.0 * math.sqrt(eta) * shift.real)
-        report = _report(sv, _origin_series(probs, s2) / eta, nbar + nbar_slack)
-        return replace(report, map=gmap)
+        return _report(sv, q_value, nbar + nbar_slack, gmap)
 
     return witness
 
@@ -235,17 +236,16 @@ def _check_criterion(criterion: str) -> None:
 
 
 def _witness(base: TruncatedState, family: StateFamily, s, epsilon: float,
-             criterion: str, nbar_slack: float, base_moments) -> WitnessReport:
-    """Witness of the built family state base, with base_moments =
-    moments(base), after loss epsilon."""
+             criterion: str, nbar_slack: float) -> WitnessReport:
+    """Witness of the built family state base after loss epsilon."""
     channel = ChannelSpec(epsilon)
     _check_criterion(criterion)
+    sv = _coerce_s(s)
     seed = _seed_map(family, channel.epsilon) if criterion == "b" else None
     if seed is None or seed.is_identity:
-        report = _criterion_a(photon_probs(base), s, channel.epsilon, nbar_slack)
-        return report if seed is None else replace(report, map=seed)
-    witness = _lossy_witness(base, family, channel, _coerce_s(s), nbar_slack,
-                             base_moments)
+        return _report(sv, *_after_loss(photon_probs(base), family.moments()[0],
+                                        sv, channel.epsilon, nbar_slack), seed)
+    witness = _lossy_witness(family, channel, sv, nbar_slack)
     return witness(_refine(witness, seed))
 
 
@@ -253,8 +253,8 @@ def witness_at_loss(family: StateFamily, s, epsilon: float, criterion: str,
                     cutoff: int = 80, nbar_slack: float = 0.0) -> WitnessReport:
     """Witness value of a family member after loss, map-optimized for 'b'."""
     _check_slack(nbar_slack)
-    base = family.build(cutoff)
-    return _witness(base, family, s, epsilon, criterion, nbar_slack, moments(base))
+    return _witness(family.build(cutoff), family, s, epsilon, criterion,
+                    nbar_slack)
 
 
 def epsilon_threshold(family: StateFamily, s, criterion: str = "a",
@@ -278,15 +278,14 @@ def epsilon_threshold(family: StateFamily, s, criterion: str = "a",
     base = family.build(cutoff)
     grid = np.linspace(tol, 1.0 - tol, SCAN_POINTS)
     batch = criterion == "a" or all(_seed_map(family, e).is_identity for e in grid)
-    base_moments = moments(base)
 
     def delta(eps: float) -> float:
-        return _witness(base, family, sv, eps, criterion, nbar_slack,
-                        base_moments).delta
+        return _witness(base, family, sv, eps, criterion, nbar_slack).delta
 
     # conclusive or not at each scan point, from the top down
     if batch:
-        q, nbar = _after_loss(photon_probs(base), sv, grid[::-1], nbar_slack)
+        q, nbar = _after_loss(photon_probs(base), family.moments()[0], sv,
+                              grid[::-1], nbar_slack)
         conclusive = iter(q - pure_bound(nbar, sv)[0] <= 0)
     else:
         conclusive = (delta(e) <= 0 for e in grid[::-1])

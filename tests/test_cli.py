@@ -82,10 +82,8 @@ class TestThreshold:
     @pytest.mark.parametrize("cutoff", ["0", "-3"])
     def test_cutoff_below_one_rejected(self, cutoff, capsys):
         # m = 1 lies above the cutoff: this used to exit 3 (truncation)
-        with pytest.raises(SystemExit) as exc:
-            main(["threshold", "--family", "fock", "--m", "1", "--s", "0",
-                  "--cutoff", cutoff])
-        assert exc.value.code == 2
+        assert main(["threshold", "--family", "fock", "--m", "1", "--s", "0",
+                     "--cutoff", cutoff]) == 2
         assert "--cutoff" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv,env", [
@@ -102,10 +100,8 @@ class TestThreshold:
         monkeypatch.setattr(StateFamily, "build", no_build)
         if env is not None:
             monkeypatch.setenv("QNG_DEFAULT_CUTOFF", env)
-        with pytest.raises(SystemExit) as exc:
-            main(["threshold", "--family", "fock", "--m", "1", "--s", "0",
-                  *argv])
-        assert exc.value.code == 2
+        assert main(["threshold", "--family", "fock", "--m", "1", "--s", "0",
+                     *argv]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "--cutoff" in captured.err and str(MAX_CUTOFF) in captured.err
@@ -200,10 +196,8 @@ def test_bad_range_rejected(args, capsys):
 @pytest.mark.parametrize("value", ["-0.6", "nan", "inf"])
 def test_nbar_slack_must_be_finite_nonnegative(value, capsys):
     # a negative slack would lower n_bar and make verdicts less conservative
-    with pytest.raises(SystemExit) as exc:
-        main(["witness-curve", "--family", "fock", "--m", "2", "--s", "0",
-              "--eps", "0.3", "--nbar-slack", value])
-    assert exc.value.code == 2
+    assert main(["witness-curve", "--family", "fock", "--m", "2", "--s", "0",
+                 "--eps", "0.3", "--nbar-slack", value]) == 2
     assert "--nbar-slack" in capsys.readouterr().err
 
 
@@ -317,15 +311,39 @@ def test_default_cutoff_env(monkeypatch):
 
 def test_default_cutoff_env_not_integer(monkeypatch, capsys):
     monkeypatch.setenv("QNG_DEFAULT_CUTOFF", "abc")
-    with pytest.raises(SystemExit) as exc:
-        main(["threshold", "--family", "fock", "--m", "1", "--s", "0"])
-    assert exc.value.code == 2
+    assert main(["threshold", "--family", "fock", "--m", "1", "--s", "0"]) == 2
     assert "--cutoff" in capsys.readouterr().err
 
 
 def test_default_cutoff_env_below_one(monkeypatch, capsys):
     monkeypatch.setenv("QNG_DEFAULT_CUTOFF", "0")
-    with pytest.raises(SystemExit) as exc:
-        main(["threshold", "--family", "fock", "--m", "1", "--s", "0"])
-    assert exc.value.code == 2
+    assert main(["threshold", "--family", "fock", "--m", "1", "--s", "0"]) == 2
     assert "--cutoff" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--cutoff", "0"], ["--cutoff", "1000000000"], ["--nbar-slack", "-1"],
+    ["--bogus"]], ids=["cutoff-0", "cutoff-huge", "slack", "unknown"])
+def test_flag_error_is_one_line(capsys, argv):
+    # argparse used to print the usage lines and raise SystemExit
+    code = main(["threshold", "--family", "fock", "--m", "1", "--s", "0", *argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_default_cutoff_env_read_on_each_call(monkeypatch, capsys):
+    # the parser is built once per process; its --cutoff default is not
+    from qng.cli import build_parser
+    argv = ["threshold", "--family", "fock", "--m", "1", "--s", "0"]
+    assert build_parser() is build_parser()
+    monkeypatch.setenv("QNG_DEFAULT_CUTOFF", "0")
+    assert main(argv) == 2
+    assert "--cutoff" in capsys.readouterr().err
+    monkeypatch.setenv("QNG_DEFAULT_CUTOFF", "7")
+    assert build_parser().parse_args(argv).cutoff == 7
+    assert main(argv) == 0
+    monkeypatch.delenv("QNG_DEFAULT_CUTOFF")
+    assert build_parser().parse_args(argv).cutoff == 80

@@ -84,7 +84,8 @@ def test_curve_rows_structure():
     assert rows[0].n_avg == 0 and rows[0].mean == 1.0
 
 
-@pytest.mark.parametrize("module", ["scipy.stats", "scipy.optimize"])
+@pytest.mark.parametrize("module", ["scipy.stats", "scipy.optimize",
+                                    "scipy.special"])
 def test_import_leaves_scipy_stats_unloaded(module):
     code = f"import sys, qng.cli; print({module!r} in sys.modules)"
     src = str(Path(qng.__file__).resolve().parents[1])
@@ -92,6 +93,22 @@ def test_import_leaves_scipy_stats_unloaded(module):
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
+
+
+def test_thresholds_leave_scipy_unloaded():
+    # criterion a and the closed-form criterion b never reach apply_loss or
+    # the error model, the only users of scipy in qng
+    code = ("import sys, qng.cli\n"
+            "for argv in (['threshold', '--family', 'fock', '--m', '2', '--s', "
+            "'0', '--tol', '1e-3'], ['threshold', '--family', 'pss', '--r', "
+            "'0.5', '--s', '-1', '--criterion', 'b', '--tol', '1e-3']):\n"
+            "    assert qng.cli.main(argv) == 0\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    src = str(Path(qng.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip().splitlines()[-1] == "[]"
 
 
 @pytest.mark.parametrize("k", [1, 7, 100, 1000])

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as hst
 from scipy.optimize import brentq, minimize_scalar
 
@@ -8,12 +8,30 @@ import qng.fock
 import qng.witness
 from qng.bounds import bound_objective, pure_bound
 from qng.fock import (ChannelSpec, GaussianMapSpec, TruncatedState,
-                      TruncationError, apply_loss, apply_map, make_coherent,
-                      make_fock, make_pac, make_pss, mapped_photon_probs, mix,
-                      moments)
+                      TruncationError, _family_vector, apply_loss, apply_map,
+                      make_coherent, make_fock, make_pac, make_pss,
+                      mapped_photon_probs, mix, moments)
+from qng.quasiprob import _family_origin, _origin_series
 from qng.witness import (StateFamily, _lossy_witness, _refine, beta_opt, delta_a,
                          delta_b, epsilon_threshold, q_opt, refine_map,
                          witness_at_loss)
+
+
+@pytest.fixture
+def loss_calls(monkeypatch):
+    """Arguments of the apply_loss calls made while it is active, through
+    qng.fock or through any qng module that imports the name."""
+    calls = []
+    loss = qng.fock.apply_loss
+
+    def counted(*args):
+        calls.append(args)
+        return loss(*args)
+
+    for module in (qng.fock, qng.witness):
+        if hasattr(module, "apply_loss"):
+            monkeypatch.setattr(module, "apply_loss", counted)
+    return calls
 
 
 class TestDeltaA:
@@ -90,28 +108,23 @@ class TestCriterionAFromPhotonNumbers:
         pytest.param(StateFamily("fock", 2), "a", False, id="a"),
         # a Fock seed map is the identity, so criterion b is criterion a
         pytest.param(StateFamily("fock", 2), "b", False, id="b"),
-        # PSS maps are evaluated on the lossless vector
+        # PSS maps are evaluated in closed form
         pytest.param(StateFamily("pss", 0.5), "b", False, id="b-pss"),
     ])
-    def test_threshold_builds_once(self, monkeypatch, family, criterion,
-                                   lossy_matrix):
-        builds, losses = [], []
-        build, loss = StateFamily.build, qng.witness.apply_loss
+    def test_threshold_builds_once(self, monkeypatch, loss_calls, family,
+                                   criterion, lossy_matrix):
+        builds = []
+        build = StateFamily.build
 
         def counted_build(self, cutoff):
             builds.append(cutoff)
             return build(self, cutoff)
 
-        def counted_loss(*args):
-            losses.append(args)
-            return loss(*args)
-
         monkeypatch.setattr(StateFamily, "build", counted_build)
-        monkeypatch.setattr(qng.witness, "apply_loss", counted_loss)
         res = epsilon_threshold(family, 0, criterion, tol=1e-3)
         assert isinstance(res.epsilon_star, float)  # a scan and a bisection
         assert builds == [80]
-        assert bool(losses) == lossy_matrix
+        assert bool(loss_calls) == lossy_matrix
 
     @pytest.mark.parametrize("criterion", ["a", "b"])
     @pytest.mark.parametrize("eps", [-0.1, 1.5])
@@ -124,6 +137,28 @@ class TestCriterionAFromPhotonNumbers:
             witness_at_loss(StateFamily("fock", 1), 0, 0.5, "c")
         with pytest.raises(ValueError):
             epsilon_threshold(StateFamily("fock", 1), 0, "c")
+
+
+class TestClosedMoments:
+    @pytest.mark.parametrize("family", [
+        StateFamily("fock", 4), StateFamily("pac", 0.0), StateFamily("pac", 1.3),
+        StateFamily("pac", 3.0), StateFamily("pss", 0.0), StateFamily("pss", 0.7),
+        StateFamily("pss", 1.0)], ids=lambda f: f"{f.kind}{f.param}")
+    def test_match_a_converged_matrix(self, family):
+        n_bar, a1, a2 = family.moments()
+        oracle = moments(family.build(200))
+        assert abs(n_bar - oracle[0]) <= 1e-13 * max(1.0, n_bar)
+        assert abs(a1 - oracle[1]) <= 1e-13 * max(1.0, n_bar)
+        assert abs(a2 - oracle[2]) <= 1e-13 * max(1.0, n_bar)
+
+    def test_pss_mean_not_lowered_by_the_cutoff(self):
+        # PSS r = 1 puts mean photon number past cutoff 80 (1.4e-7 of it); a
+        # lower n_bar would raise the bound, a less conservative verdict
+        rep = witness_at_loss(StateFamily("pss", 1.0), -1, 0.0, "a", cutoff=80)
+        assert abs(rep.n_bar - (3 * np.sinh(1.0) ** 2 + 1)) <= 1e-15
+        converged = moments(make_pss(1.0, 160))[0]
+        assert rep.n_bar >= converged - 1e-15 * converged  # roundoff only
+        assert rep.n_bar > moments(make_pss(1.0, 80))[0] + 1e-8
 
 
 class TestDeltaB:
@@ -213,9 +248,7 @@ class TestCriterionBFromPhotonNumbers:
 
 
 def lossy_family(family, s, eps, nbar_slack=0.1):
-    base = family.build(80)
-    return _lossy_witness(base, family, ChannelSpec(eps), float(s), nbar_slack,
-                          moments(base))
+    return _lossy_witness(family, ChannelSpec(eps), float(s), nbar_slack)
 
 
 def direct_oracle(family, s, eps, gmap, nbar_slack=0.1, cutoff=80):
@@ -260,63 +293,66 @@ class TestCriterionBFromLosslessVector:
            q=hst.floats(-1, 1), nbar_slack=hst.floats(0, 1))
     def test_matches_lossy_matrix_property(self, family, s, eps, re, im, q,
                                            nbar_slack):
-        # each path drops what its mapped state puts past the cutoff, and
-        # such a loss moves an origin value by at most 2/(pi(1-s)) times it
+        # the closed form drops nothing; the oracle drops what its mapped
+        # state puts past the cutoff, which moves an origin value by at most
+        # 2/(pi(1-s)) times it
         gmap = GaussianMapSpec(displacement=complex(re, im), squeeze=q)
-        vectors, losses = [], []
-        family_vector, loss = qng.witness._family_vector, qng.witness.apply_loss
+        origins = []
+        family_origin = qng.witness._family_origin
 
-        def kept(*args):
-            vectors.append(family_vector(*args))
-            return vectors[-1]
-
-        def counted_loss(*args):
-            losses.append(args)
-            return loss(*args)
+        def counted(*args):
+            origins.append(args)
+            return family_origin(*args)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(qng.witness, "_family_vector", kept)
-            mp.setattr(qng.witness, "apply_loss", counted_loss)
+            mp.setattr(qng.witness, "_family_origin", counted)
             view = lossy_family(family, s, eps, nbar_slack)
-            try:
-                fast = view(gmap)
-            except TruncationError:
-                fast = None
+            fast = view(gmap)
+            view(gmap)  # cached
+        assert len(origins) == 1
+        assert fast.delta == fast.q_value - fast.bound
         try:
             oracle = direct_oracle(family, s, eps, gmap, nbar_slack)
         except TruncationError:
-            assert fast is None or not losses
-            return
-        if losses:  # the vector did not fit: direct path
-            assert fast == oracle
+            assert np.isfinite(fast.delta)
             return
         lossy = apply_loss(family.build(80), ChannelSpec(eps))
-        lost = (1.0 - np.sum(np.abs(vectors[-1]) ** 2)
-                + np.trace(lossy.matrix).real
+        lost = (np.trace(lossy.matrix).real
                 - np.sum(mapped_photon_probs(lossy, gmap)))
         budget = 2 / (np.pi * (1 - s)) * lost
         assert abs(fast.q_value - oracle.q_value) <= budget + 1e-12
         assert fast.n_bar >= oracle.n_bar - 1e-12
-        assert fast.delta == fast.q_value - fast.bound
 
-    def test_fallback_is_the_direct_path(self, monkeypatch):
+    @settings(max_examples=200, deadline=None)
+    @given(kind=hst.sampled_from(["pac", "pss"]), param=hst.floats(0, 1),
+           re=hst.floats(-1.5, 1.5), im=hst.floats(-1.5, 1.5),
+           q=hst.floats(-0.8, 0.8), s=hst.floats(-10, 0))
+    def test_closed_form_matches_vector_series(self, kind, param, re, im, q, s):
+        # PAC alpha <= 2, PSS r <= 1; the cutoff-150 series misses its tail
+        param *= 2.0 if kind == "pac" else 1.0
+        beta = complex(re, im)
+        probs = np.abs(_family_vector(kind, param, 150,
+                                      GaussianMapSpec(beta, q))) ** 2
+        tail = max(1.0 - float(np.sum(probs)), 0.0)
+        assume(tail < 1e-12)
+        closed = _family_origin(kind, param, beta, q, s)
+        assert (abs(closed - _origin_series(probs, s))
+                <= 2 / (np.pi * (1 - s)) * (tail + 1e-12))
+
+    def test_fallback_is_the_direct_path(self, loss_calls):
         # beta' grows as 1/sqrt(eta): at eps = 0.999 a step of 0.3 past the
-        # seed pushes the PAC vector far past the cutoff
+        # seed puts the PAC image U' psi far past cutoff 80, where a vector
+        # would need the lossy matrix as a fallback; the closed form has no
+        # cutoff and needs none, and agrees with that direct path
         family, eps = StateFamily("pac", 2.0), 0.999
         gmap = GaussianMapSpec(displacement=beta_opt(2.0, eps) + 0.3)
-        losses = []
-        loss = qng.witness.apply_loss
-
-        def counted_loss(*args):
-            losses.append(args)
-            return loss(*args)
-
-        monkeypatch.setattr(qng.witness, "apply_loss", counted_loss)
-        view = lossy_family(family, -1, eps)
-        fast = view(gmap)
-        view(GaussianMapSpec(displacement=gmap.displacement + 0.1))
-        assert len(losses) == 1  # built once per loss value
-        assert fast == direct_oracle(family, -1, eps, gmap)
+        fast = lossy_family(family, -1, eps)(gmap)
+        assert loss_calls == []
+        assert np.isfinite(fast.delta)
+        oracle = direct_oracle(family, -1, eps, gmap, cutoff=400)
+        assert abs(fast.delta - oracle.delta) <= 1e-12
+        assert abs(fast.q_value - oracle.q_value) <= 1e-12
+        assert abs(fast.n_bar - oracle.n_bar) <= 1e-12
 
     @pytest.mark.parametrize("family", [StateFamily("pac", 2.0),
                                         StateFamily("pss", 0.5)],
@@ -330,15 +366,16 @@ class TestCriterionBFromLosslessVector:
 
     @pytest.mark.parametrize("family,eps", [
         pytest.param(StateFamily("pac", 2.0), 0.6, id="pac"),
+        # the loss at which maps past the seed left the cutoff of a vector
         pytest.param(StateFamily("pac", 2.0), 0.999, id="pac-fallback"),
         pytest.param(StateFamily("pss", 0.5), 0.6, id="pss"),
     ])
     def test_each_map_evaluated_once(self, monkeypatch, family, eps):
-        # every evaluation makes one lossless vector; the closure's cache
-        # holds one report per map, and the refined map's report is reused
-        witnesses, after_refine, vectors = [], [], []
+        # every evaluation is one closed-form origin value; the closure's
+        # cache holds one report per map, and the refined map's report is reused
+        witnesses, after_refine, origins = [], [], []
         lossy_witness, refine = qng.witness._lossy_witness, qng.witness._refine
-        family_vector = qng.witness._family_vector
+        family_origin = qng.witness._family_origin
 
         def kept(*args):
             witnesses.append(lossy_witness(*args))
@@ -350,15 +387,15 @@ class TestCriterionBFromLosslessVector:
             return gmap
 
         def counted(*args):
-            vectors.append(args)
-            return family_vector(*args)
+            origins.append(args)
+            return family_origin(*args)
 
         monkeypatch.setattr(qng.witness, "_lossy_witness", kept)
         monkeypatch.setattr(qng.witness, "_refine", refined)
-        monkeypatch.setattr(qng.witness, "_family_vector", counted)
+        monkeypatch.setattr(qng.witness, "_family_origin", counted)
         rep = witness_at_loss(family, -1, eps, "b")
         before, info = after_refine[0], witnesses[0].cache_info()
-        assert len(vectors) == info.misses == info.currsize
+        assert len(origins) == info.misses == info.currsize
         assert (info.hits, info.misses) == (before.hits + 1, before.misses)
         assert witnesses[0](rep.map) is rep
 
@@ -397,21 +434,13 @@ class TestIdentitySeedIsCriterionA:
         pytest.param(StateFamily("pss", 0.5), 1, id="pss-1"),
     ])
     @pytest.mark.parametrize("s", [0, -1, -2])
-    def test_equals_criterion_a_without_lossy_matrix(self, monkeypatch, family,
+    def test_equals_criterion_a_without_lossy_matrix(self, loss_calls, family,
                                                      eps, s):
-        losses = []
-        loss = qng.witness.apply_loss
-
-        def counted_loss(*args):
-            losses.append(args)
-            return loss(*args)
-
-        monkeypatch.setattr(qng.witness, "apply_loss", counted_loss)
         a = witness_at_loss(family, s, eps, "a", nbar_slack=0.1)
         b = witness_at_loss(family, s, eps, "b", nbar_slack=0.1)
         assert (b.delta, b.q_value, b.n_bar) == (a.delta, a.q_value, a.n_bar)
         assert b.map == GaussianMapSpec()
-        assert losses == []
+        assert loss_calls == []
 
 
 class TestSeeds:
@@ -575,8 +604,7 @@ class TestThresholds:
         base = family.build(80)
 
         def delta(eps):
-            return qng.witness._witness(base, family, s, eps, "a", 0.0,
-                                        moments(base)).delta
+            return qng.witness._witness(base, family, s, eps, "a", 0.0).delta
 
         grid = np.linspace(tol, 1.0 - tol, qng.witness.SCAN_POINTS)
         star = "one" if delta(grid[-1]) <= 0 else "none"
