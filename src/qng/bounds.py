@@ -12,7 +12,7 @@ P(0) = s <= 0 < P(1) = 4n(1-s) and P(2n+1) = s (4n(n+1))^2 <= 0, and by
 Descartes' rule P has at most two positive roots, so exactly one root lies in
 (1, 2n+1]: the minimum. pure_bound finds it by Newton's method from 2n+1, for
 a float or an array of n. At s = 0 the root is 2n+1 (wigner_bound_closed); at
-s = -1 it is the cube root behind m_minus1_closed.
+s = -1 it is the root of the cubic behind m_minus1_closed.
 
 build_bound_curve and the error bars of qng.error_model still tabulate the
 bounded minimization of the objective (_minimized_bound), whose m_opt is off by
@@ -191,15 +191,23 @@ def _minimized_bound(n: float, s) -> tuple[float, float]:
 def m_minus1_closed(n: float) -> float:
     """Closed-form optimal squeezing fraction for the Husimi (s = -1) bound.
 
-    Uses the principal complex cube root; the result is clamped to [0, n].
+    At s = -1, P(x) = -(x + 1)(x^3 + x^2 - (4n+3) x + 1), and in y = x - 1
+    the cubic is y^3 + 4y^2 - (4n-2) y - 4n: one root in [0, 2n] and two
+    below -1/2. The trigonometric form gives those two to working precision,
+    the wanted root is 4n over their product (Vieta), with nothing to cancel
+    at small n, and one Newton step polishes it. m = y^2 / (4(1+y)), clamped
+    to [0, n].
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    root = np.sqrt(6.0 + 3.0 * n * (24.0 + n * (37.0 + 16.0 * n)))
-    g = complex(-17.0 - 21.0 * n + 3.0 * n**2 + 8.0 * n**3,
-                3.0 * (1.0 + n) * root) ** (1.0 / 3.0)
-    m = (2.0 * (n - 1.0) + np.sqrt(3.0) * g.imag - g.real) / 6.0
-    return float(min(max(m, 0.0), n))
+    p, q = -(4.0 * n + 10.0 / 3.0), 56.0 / 27.0 + 4.0 * n / 3.0  # of z = y + 4/3
+    r = 2.0 * math.sqrt(-p / 3.0)
+    phi = math.acos(max(-1.0, min(1.0, 3.0 * q / (p * r)))) / 3.0
+    y2, y3 = (r * math.cos(phi + k * 2.0 * math.pi / 3.0) - 4.0 / 3.0 for k in (1, -1))
+    y = 4.0 * n / (y2 * y3)
+    y -= ((((y + 4.0) * y - (4.0 * n - 2.0)) * y - 4.0 * n)
+          / ((3.0 * y + 8.0) * y - (4.0 * n - 2.0)))
+    return float(min(max(y * y / (4.0 * (1.0 + y)), 0.0), n))
 
 
 @dataclass(frozen=True)

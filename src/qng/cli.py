@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import sys
 from functools import cache
 
@@ -134,7 +135,13 @@ def cmd_error_bars(args) -> int:
 
 class _Parser(argparse.ArgumentParser):
     """Reports a bad flag as a ValueError, so main exits 2 with one error line
-    as for every other invalid argument."""
+    as for every other invalid argument, and reads every argument that starts
+    with a minus and a digit (-1,-2 or -1e-3, not only -1 and -1.5) as a
+    value: no qng flag starts that way."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
 
     def error(self, message: str):
         raise ValueError(message)

@@ -35,7 +35,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
@@ -309,35 +308,33 @@ def _map_core(state: TruncatedState, gmap: GaussianMapSpec):
 
     which reads no level past the cutoff. p'_m = Re sum_n (G rho)[m, n]
     conj(G[m, n]) is the diagonal of G rho G^dag, and since U is unitary
-    Tr rho - sum p' is exactly the trace pushed past the cutoff. G is real
-    when beta is real, so a real state is mapped in real arithmetic.
+    Tr rho - sum p' is exactly the trace pushed past the cutoff. A negative
+    loss means the recurrence diverged (strong squeezing at a large cutoff),
+    so a loss beyond MAP_TRUNCATION_LIMIT either way raises. G is real when
+    beta is real, so a real state is mapped in real arithmetic.
     """
     beta, q = complex(gmap.displacement), float(gmap.squeeze)
     beta_conj = beta.real if beta.imag == 0 else beta.conjugate()
     d = state.dim
     root = np.sqrt(np.arange(d))
-    inv_mu, t = 1.0 / math.cosh(q), math.tanh(q)
-    # rows holds a zero row, then z_0, y_0, z_1, y_1, ... with y_n = G[:, n]
-    # and z_n[m] = sqrt(m) G[m-1, n], so the recurrence is one dot product:
-    # y_{n+1} = coef[n] . (y_{n-1}, z_n, y_n), the rows rows[2n:2n+3].
+    scale = (1.0 / (math.cosh(q) * root[1:])).tolist()
+    back = (math.tanh(q) * root[:-1] / root[1:]).tolist()
     first = displaced_squeezed_vector(beta, q, d - 1)
-    rows = np.zeros((2 * d + 1, d), dtype=first.dtype)
-    rows[2] = first
-    rows[1, 1:] = root[1:] * first[:-1]
-    coef = np.stack([-t * root[:-1], np.full(d - 1, inv_mu),
-                     np.full(d - 1, -beta_conj * inv_mu)], axis=1) / root[1:, None]
-    step, width = rows.strides
-    windows = as_strided(rows, shape=(d - 1, 3, d), strides=(2 * step, step, width),
-                         writeable=False)
-    for c, window, y, z in zip(coef, windows, rows[4::2], rows[3::2, 1:]):
-        np.dot(c, window, out=y)
-        np.multiply(root[1:], y[:-1], out=z)
-    g = rows[2::2].T
+    rows = np.zeros((d + 1, d), dtype=first.dtype)  # rows[n + 1] = G[:, n]
+    rows[1] = first
     rho = state.matrix
-    g_rho = g @ rho
-    probs = (g_rho * g.conj()).real.sum(axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):  # divergence raises below
+        for n, (a, b) in enumerate(zip(scale, back)):
+            y, nxt = rows[n + 1], rows[n + 2]
+            np.multiply(root[1:], y[:-1], out=nxt[1:])
+            nxt -= beta_conj * y
+            nxt *= a
+            nxt -= b * rows[n]
+        g = rows[1:].T
+        g_rho = g @ rho
+        probs = (g_rho * g.conj()).real.sum(axis=1)
     lost = float(np.trace(rho).real) - float(np.sum(probs))
-    if lost > MAP_TRUNCATION_LIMIT:
+    if not abs(lost) <= MAP_TRUNCATION_LIMIT:  # NaN fails this too
         raise TruncationError(f"map loses trace {lost:.3e} past cutoff {state.cutoff}")
     return g, g_rho, probs, lost
 

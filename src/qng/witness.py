@@ -10,7 +10,10 @@ G(z) = sum_m p_m z^m to G(eps + eta z), eta = 1 - eps, so
 Q_s(0) = 2/(pi(1-s)) G(eps - eta (1+s)/(1-s)), n_bar = eta n_bar_0.
 Criterion b with an identity seed (Fock states) is criterion a. A threshold
 whose every scan point is criterion a evaluates its scan as one array call,
-with one hull-bound call for all the scan's mean photon numbers.
+with one hull-bound call for all the scan's mean photon numbers. Every
+verdict, the scan's and the bisection's, is _report's: delta < 0. Photon
+numbers that stop short of unit mass carry the most the missing levels could
+add to the origin value, so truncation never makes a witness conclusive.
 
 Criterion b of a PAC or PSS state after loss needs no state: loss plus
 s-ordering is another ordering behind another Gaussian unitary (Cahill &
@@ -109,8 +112,15 @@ def _report(sv: float, q_value: float, nbar: float,
 
 def _after_loss(p, nbar0: float, sv: float, epsilon, nbar_slack: float):
     """Origin value and n_bar of photon numbers p with mean nbar0 after
-    validated losses epsilon (a float, or an array of losses)."""
-    return _origin_series(p, sv, epsilon), (1.0 - epsilon) * nbar0 + nbar_slack
+    validated losses epsilon (a float, or an array of losses).
+
+    The mass 1 - sum p past the last level adds at most its |x|^len(p)
+    share of 2/(pi(1-s)) (x of _origin_series, |x| <= 1), so that bound is
+    added: truncation can only make a witness less conclusive."""
+    x = epsilon - (1.0 - epsilon) * (1.0 + sv) / (1.0 - sv)
+    tail = max(0.0, 1.0 - float(p.sum())) * abs(x) ** p.size
+    return (_origin_series(p, sv, epsilon) + tail * 2.0 / (math.pi * (1.0 - sv)),
+            (1.0 - epsilon) * nbar0 + nbar_slack)
 
 
 def _photon_witness(p, s, nbar_slack: float,
@@ -279,16 +289,16 @@ def epsilon_threshold(family: StateFamily, s, criterion: str = "a",
     grid = np.linspace(tol, 1.0 - tol, SCAN_POINTS)
     batch = criterion == "a" or all(_seed_map(family, e).is_identity for e in grid)
 
-    def delta(eps: float) -> float:
-        return _witness(base, family, sv, eps, criterion, nbar_slack).delta
+    def holds(eps: float) -> bool:
+        return _witness(base, family, sv, eps, criterion, nbar_slack).conclusive
 
     # conclusive or not at each scan point, from the top down
     if batch:
         q, nbar = _after_loss(photon_probs(base), family.moments()[0], sv,
                               grid[::-1], nbar_slack)
-        conclusive = iter(q - pure_bound(nbar, sv)[0] <= 0)
+        conclusive = iter(_report(sv, q, nbar).conclusive)
     else:
-        conclusive = (delta(e) <= 0 for e in grid[::-1])
+        conclusive = (holds(e) for e in grid[::-1])
     star: float | str = "one"
     if not next(conclusive):  # at the top, hi = 1 - tol
         star = "none"
@@ -297,7 +307,7 @@ def epsilon_threshold(family: StateFamily, s, criterion: str = "a",
                 lo, hi = grid[i], grid[i + 1]
                 while hi - lo > tol:
                     mid = 0.5 * (lo + hi)
-                    if delta(mid) <= 0:
+                    if holds(mid):
                         lo = mid
                     else:
                         hi = mid

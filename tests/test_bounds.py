@@ -60,6 +60,20 @@ def test_m_minus1_vacuum():
     assert m_minus1_closed(0) == 0.0
 
 
+def test_m_minus1_closed_to_working_precision():
+    # oracle: the root in [0, 2n] of y^3 + 4y^2 - (4n-2)y - 4n to 50 digits;
+    # the cube-root formula was off by 1e-4 relative at n = 1e-6
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        for n in np.concatenate([np.logspace(-6, np.log10(60), 200),
+                                 [0.0078125, 1e-3]]):
+            nm = mpmath.mpf(float(n))
+            y = mpmath.findroot(lambda y: y**3 + 4 * y**2 - (4 * nm - 2) * y - 4 * nm,
+                                (mpmath.mpf(0), 2 * nm), solver="anderson")
+            m = y**2 / (4 * (1 + y))
+            assert abs(m_minus1_closed(float(n)) - m) <= 1e-15 * m
+
+
 def test_pure_bound_against_dense_grid():
     for s in [-0.5, -1.0, -2.0]:
         for n in [0.3, 1.0, 2.0, 4.0]:

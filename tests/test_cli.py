@@ -1,8 +1,11 @@
+import argparse
+import inspect
+
 import numpy as np
 import pytest
 
 import qng.error_model
-from qng.cli import MAX_CUTOFF, main
+from qng.cli import MAX_CUTOFF, build_parser, main
 from qng.quasiprob import S_MIN
 from qng.witness import StateFamily
 
@@ -347,3 +350,46 @@ def test_default_cutoff_env_read_on_each_call(monkeypatch, capsys):
     assert main(argv) == 0
     monkeypatch.delenv("QNG_DEFAULT_CUTOFF")
     assert build_parser().parse_args(argv).cutoff == 80
+
+
+@pytest.mark.parametrize("s_arg,s_values", [
+    ("-1,-2", [-1.0, -2.0]), ("-1E+2,-3", [-100.0, -3.0]), ("-.5", [-0.5]),
+    ("-1e-3", [-0.001])])
+def test_threshold_reads_negative_s_as_value(s_arg, s_values, capsys):
+    code, out = run_cli(["threshold", "--family", "fock", "--m", "1",
+                         "--s", s_arg, "--tol", "1e-3"], capsys)
+    assert code == 0
+    rows = out.strip().split("\n")[1:]
+    assert [float(row.split(",")[1]) for row in rows] == s_values
+
+
+def test_bound_curve_reads_exponent_s_as_value(capsys):
+    code, out = run_cli(["bound-curve", "--s", "-1e-1", "--n-max", "1",
+                         "--step", "0.1"], capsys)
+    assert code == 0
+    assert out.startswith("n,bound,m_opt\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["bound-curve", "--s", "--n-max", "1", "--step", "0.1"],
+    ["threshold", "--family", "fock", "--m", "1", "--s"]])
+def test_missing_value_still_rejected(argv, capsys):
+    code = main(argv)
+    assert code == 2
+    assert capsys.readouterr().err == "error: argument --s: expected one argument\n"
+
+
+def test_out_dash_still_writes_stdout(capsys):
+    code, out = run_cli(["bound-curve", "--s", "-1", "--n-max", "0.5",
+                         "--step", "0.5", "--out", "-"], capsys)
+    assert code == 0
+    assert out.startswith("n,bound,m_opt\n")
+
+
+def test_negative_number_matcher_is_argparse_attribute():
+    # the parser overrides a private argparse attribute: a Python whose
+    # argparse no longer reads it must fail here, not parse -1,-2 as a flag
+    assert "self._negative_number_matcher.match(arg_string)" in inspect.getsource(
+        argparse.ArgumentParser)
+    sub = build_parser()._subparsers._group_actions[0].choices["threshold"]
+    assert sub._negative_number_matcher.pattern == r"-\.?\d"

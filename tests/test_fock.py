@@ -344,6 +344,17 @@ class TestGaussianMap:
         with pytest.raises(TruncationError):
             mapped_photon_probs(make_fock(0, 4), GaussianMapSpec(displacement=3.0))
 
+    @pytest.mark.parametrize("cutoff", [160, 200])
+    def test_diverged_recurrence_raises(self, cutoff):
+        # strong squeezing at a large cutoff: the column recurrence blows up
+        # and the mapped photon numbers sum to more than the trace
+        with pytest.raises(TruncationError, match="loses trace -"):
+            mapped_photon_probs(make_pss(1.0, cutoff), GaussianMapSpec(squeeze=-1.0))
+
+    def test_strong_squeeze_fits_below_divergence(self):
+        p = mapped_photon_probs(make_pss(1.0, 120), GaussianMapSpec(squeeze=-1.0))
+        assert p.sum() == pytest.approx(1.0, abs=1e-10)
+
     def test_mapped_photon_probs_identity(self):
         st = apply_loss(make_pac(1.5, 40), ChannelSpec(0.3))
         p = mapped_photon_probs(st, GaussianMapSpec())

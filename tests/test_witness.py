@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -73,9 +75,12 @@ FAMILIES = [StateFamily("fock", 3), StateFamily("pac", 2.0),
 
 
 def assert_matches_lossy_matrix(family, s, eps, nbar_slack):
-    # the lossy density matrix is the oracle of the generating-function path
+    # the lossy density matrix is the oracle of the generating-function path;
+    # it is built at twice the cutoff, because the witness's n_bar is the
+    # closed-form mean and at cutoff 80 the matrix drops up to 2e-12 of it
+    # (PSS r = 0.8)
     fast = witness_at_loss(family, s, eps, "a", nbar_slack=nbar_slack)
-    lossy = apply_loss(family.build(80), ChannelSpec(eps))
+    lossy = apply_loss(family.build(160), ChannelSpec(eps))
     oracle = delta_a(lossy, s, nbar_slack=nbar_slack)
     assert abs(fast.delta - oracle.delta) <= 1e-12
     assert abs(fast.q_value - oracle.q_value) <= 1e-12
@@ -295,7 +300,9 @@ class TestCriterionBFromLosslessVector:
                                            nbar_slack):
         # the closed form drops nothing; the oracle drops what its mapped
         # state puts past the cutoff, which moves an origin value by at most
-        # 2/(pi(1-s)) times it
+        # 2/(pi(1-s)) times it, and adds that bound back on the conservative
+        # side: it never lies below the closed form, and at most twice the
+        # bound above it
         gmap = GaussianMapSpec(displacement=complex(re, im), squeeze=q)
         origins = []
         family_origin = qng.witness._family_origin
@@ -320,7 +327,7 @@ class TestCriterionBFromLosslessVector:
         lost = (np.trace(lossy.matrix).real
                 - np.sum(mapped_photon_probs(lossy, gmap)))
         budget = 2 / (np.pi * (1 - s)) * lost
-        assert abs(fast.q_value - oracle.q_value) <= budget + 1e-12
+        assert -1e-12 <= oracle.q_value - fast.q_value <= 2 * budget + 1e-12
         assert fast.n_bar >= oracle.n_bar - 1e-12
 
     @settings(max_examples=200, deadline=None)
@@ -617,6 +624,68 @@ class TestThresholds:
                 star = 0.5 * (lo + hi)
                 break
         assert epsilon_threshold(family, s, "a", tol=tol).epsilon_star == star
+
+    @pytest.mark.parametrize("criterion", ["a", "b"])
+    @pytest.mark.parametrize("s", [0, -0.5, -1, -2])
+    def test_vacuum_never_conclusive(self, s, criterion):
+        # the vacuum lies on the hull: its delta is 0 up to roundoff, and
+        # only delta < 0 certifies
+        res = epsilon_threshold(StateFamily("fock", 0), s, criterion)
+        assert res.epsilon_star == "none"
+
+    @pytest.mark.parametrize("criterion", ["a", "b"])
+    def test_scan_reads_the_reports_verdict(self, monkeypatch, criterion):
+        # with delta <= 0 as _report's rule the vacuum passes everywhere:
+        # the scan has no comparison of its own
+        report = qng.witness._report
+
+        def at_or_below(*args):
+            rep = report(*args)
+            return replace(rep, conclusive=rep.delta <= 0)
+
+        monkeypatch.setattr(qng.witness, "_report", at_or_below)
+        res = epsilon_threshold(StateFamily("fock", 0), 0, criterion)
+        assert res.epsilon_star == "one"
+
+    def test_bisection_reads_the_reports_verdict(self, monkeypatch):
+        # a margin moved into _report's rule moves a criterion-b threshold
+        # (per-point scan and bisection) to where delta crosses the margin
+        family, s, tol, margin = StateFamily("pss", 0.5), -1, 1e-3, -1e-3
+        report = qng.witness._report
+
+        def within_margin(*args):
+            rep = report(*args)
+            return replace(rep, conclusive=rep.delta < margin)
+
+        monkeypatch.setattr(qng.witness, "_report", within_margin)
+        star = epsilon_threshold(family, s, "b", tol=tol).epsilon_star
+        monkeypatch.undo()
+        plain = epsilon_threshold(family, s, "b", tol=tol).epsilon_star
+        assert isinstance(star, float) and star < plain
+        assert witness_at_loss(family, s, star - tol, "b").delta < margin
+        assert witness_at_loss(family, s, star + tol, "b").delta >= margin
+
+    def test_truncation_tail_counted_conservatively(self):
+        # PSS r = 1 keeps all but 1.6e-9 of its mass at cutoff 80. Near full
+        # loss the witness is smaller than that: delta at cutoff 80 must not
+        # be negative where larger cutoffs find it positive
+        family, s, eps = StateFamily("pss", 1.0), -2, 1 - 1e-5
+        for cutoff in (80, 120, 200):
+            assert not witness_at_loss(family, s, eps, "a", cutoff=cutoff).conclusive
+        res = epsilon_threshold(family, s, "a")
+        assert res.epsilon_star == "none"
+
+    @pytest.mark.parametrize("s", [0, -0.5, -1, -3])
+    @pytest.mark.parametrize("eps", [0, 0.5, 0.9, 1 - 1e-5])
+    def test_truncated_origin_value_bounds_the_full_one(self, s, eps):
+        # dropping levels 41.. of PSS r = 1 raises the origin value by at
+        # most twice the dropped levels' own bound, never lowers it
+        p = qng.fock.photon_probs(make_pss(1.0, 200))
+        q_full, _ = qng.witness._after_loss(p, 0.0, s, eps, 0.0)
+        q_cut, _ = qng.witness._after_loss(p[:41], 0.0, s, eps, 0.0)
+        x = eps - (1 - eps) * (1 + s) / (1 - s)
+        tail_bound = (1 - p[:41].sum()) * abs(x) ** 41 * 2 / (np.pi * (1 - s))
+        assert q_full - 1e-15 <= q_cut <= q_full + 2 * tail_bound + 1e-15
 
 
 def test_soundness_on_hull_samples():
