@@ -317,18 +317,19 @@ def _map_core(state: TruncatedState, gmap: GaussianMapSpec):
     beta_conj = beta.real if beta.imag == 0 else beta.conjugate()
     d = state.dim
     root = np.sqrt(np.arange(d))
-    scale = (1.0 / (math.cosh(q) * root[1:])).tolist()
+    scale = 1.0 / (math.cosh(q) * root[1:])
+    lift = np.outer(scale, root[1:])
+    shift = (beta_conj * scale).tolist()
     back = (math.tanh(q) * root[:-1] / root[1:]).tolist()
     first = displaced_squeezed_vector(beta, q, d - 1)
     rows = np.zeros((d + 1, d), dtype=first.dtype)  # rows[n + 1] = G[:, n]
     rows[1] = first
     rho = state.matrix
     with np.errstate(over="ignore", invalid="ignore"):  # divergence raises below
-        for n, (a, b) in enumerate(zip(scale, back)):
+        for n, (up, c, b) in enumerate(zip(lift, shift, back)):
             y, nxt = rows[n + 1], rows[n + 2]
-            np.multiply(root[1:], y[:-1], out=nxt[1:])
-            nxt -= beta_conj * y
-            nxt *= a
+            np.multiply(up, y[:-1], out=nxt[1:])
+            nxt -= c * y
             nxt -= b * rows[n]
         g = rows[1:].T
         g_rho = g @ rho

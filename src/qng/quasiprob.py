@@ -74,11 +74,15 @@ def qs_fock(m: int, s) -> float:
 
 def _origin_series(p: np.ndarray, sv: float, epsilon=0.0):
     """Origin value 2/(pi(1-s)) sum_m x^m p_m of photon numbers p after pure
-    loss epsilon, x = eps - (1-eps)(1+s)/(1-s) (from G(z) -> G(eps + (1-eps) z)).
-    A float for a float epsilon, an array for an array of losses."""
+    loss epsilon, x = eps - (1-eps)(1+s)/(1-s) (from G(z) -> G(eps + (1-eps) z)),
+    and its truncation tail: the mass 1 - sum p past the last level moves the
+    value by at most (1 - sum p) |x|^len(p) 2/(pi(1-s)), as |x| <= 1 for s <= 0.
+    Floats for a float epsilon, arrays for an array of losses."""
     x = np.asarray(epsilon - (1.0 - epsilon) * (1.0 + sv) / (1.0 - sv))
-    values = 2.0 / (np.pi * (1.0 - sv)) * (x[..., None] ** np.arange(p.size) @ p)
-    return values if values.ndim else float(values)
+    scale = 2.0 / (np.pi * (1.0 - sv))
+    values = scale * (x[..., None] ** np.arange(p.size) @ p)
+    tails = scale * max(0.0, 1.0 - float(p.sum())) * np.abs(x) ** p.size
+    return (values, tails) if values.ndim else (float(values), float(tails))
 
 
 def qs_origin(state: TruncatedState, s) -> float:
@@ -87,7 +91,7 @@ def qs_origin(state: TruncatedState, s) -> float:
     Alternating series 2/(pi(1-s)) sum_m (-1)^m ((1+s)/(1-s))^m p_m; the
     truncation error is at most tail_bound * 2/(pi(1-s)).
     """
-    return _origin_series(photon_probs(state), _coerce_s(s))
+    return _origin_series(photon_probs(state), _coerce_s(s))[0]
 
 
 def qs_origin_error(state: TruncatedState, s) -> float:
@@ -153,4 +157,4 @@ def qs_at(state: TruncatedState, s, alpha: complex) -> float:
     Q_s[rho](alpha) is the origin value of the state displaced by -alpha,
     read from its photon numbers."""
     p = mapped_photon_probs(state, GaussianMapSpec(displacement=-alpha))
-    return _origin_series(p, _coerce_s(s))
+    return _origin_series(p, _coerce_s(s))[0]

@@ -11,9 +11,9 @@ Q_s(0) = 2/(pi(1-s)) G(eps - eta (1+s)/(1-s)), n_bar = eta n_bar_0.
 Criterion b with an identity seed (Fock states) is criterion a. A threshold
 whose every scan point is criterion a evaluates its scan as one array call,
 with one hull-bound call for all the scan's mean photon numbers. Every
-verdict, the scan's and the bisection's, is _report's: delta < 0. Photon
-numbers that stop short of unit mass carry the most the missing levels could
-add to the origin value, so truncation never makes a witness conclusive.
+verdict, the scan's and the bisection's, is _report's: delta + tail < 0,
+where tail is the most the levels past the cutoff could add to the origin
+value (0 for a closed form), so truncation never makes a witness conclusive.
 
 Criterion b of a PAC or PSS state after loss needs no state: loss plus
 s-ordering is another ordering behind another Gaussian unitary (Cahill &
@@ -101,26 +101,24 @@ class ThresholdResult:
     bisection_tol: float
 
 
-def _report(sv: float, q_value: float, nbar: float,
+def _report(sv: float, q_value: float, nbar: float, tail: float,
             gmap: GaussianMapSpec | None = None) -> WitnessReport:
-    """Witness of an origin value q_value against the hull bound at nbar."""
+    """Witness of an origin value q_value against the hull bound at nbar.
+
+    The one verdict rule: conclusive when delta + tail < 0, where tail is
+    the most that levels past the cutoff can add to q_value (0 for a closed
+    form), so truncation can only make a witness less conclusive."""
     bound = pure_bound(nbar, sv)[0]
     delta = q_value - bound
     return WitnessReport(s=sv, q_value=q_value, n_bar=nbar, bound=bound,
-                         delta=delta, conclusive=delta < 0, map=gmap)
+                         delta=delta, conclusive=delta + tail < 0, map=gmap)
 
 
 def _after_loss(p, nbar0: float, sv: float, epsilon, nbar_slack: float):
-    """Origin value and n_bar of photon numbers p with mean nbar0 after
-    validated losses epsilon (a float, or an array of losses).
-
-    The mass 1 - sum p past the last level adds at most its |x|^len(p)
-    share of 2/(pi(1-s)) (x of _origin_series, |x| <= 1), so that bound is
-    added: truncation can only make a witness less conclusive."""
-    x = epsilon - (1.0 - epsilon) * (1.0 + sv) / (1.0 - sv)
-    tail = max(0.0, 1.0 - float(p.sum())) * abs(x) ** p.size
-    return (_origin_series(p, sv, epsilon) + tail * 2.0 / (math.pi * (1.0 - sv)),
-            (1.0 - epsilon) * nbar0 + nbar_slack)
+    """Origin value, n_bar and truncation tail of photon numbers p with mean
+    nbar0 after validated losses epsilon (a float, or an array of losses)."""
+    q, tail = _origin_series(p, sv, epsilon)
+    return q, (1.0 - epsilon) * nbar0 + nbar_slack, tail
 
 
 def _photon_witness(p, s, nbar_slack: float,
@@ -235,7 +233,7 @@ def _lossy_witness(family: StateFamily, channel: ChannelSpec, sv: float,
         shift = beta.conjugate() * (mu * a1 + nu * a1.conjugate())
         nbar = (eta * (math.cosh(2.0 * q) * n0 + math.sinh(2.0 * q) * a2.real)
                 + nu * nu + abs(beta) ** 2 + 2.0 * math.sqrt(eta) * shift.real)
-        return _report(sv, q_value, nbar + nbar_slack, gmap)
+        return _report(sv, q_value, nbar + nbar_slack, 0.0, gmap)
 
     return witness
 
@@ -294,9 +292,9 @@ def epsilon_threshold(family: StateFamily, s, criterion: str = "a",
 
     # conclusive or not at each scan point, from the top down
     if batch:
-        q, nbar = _after_loss(photon_probs(base), family.moments()[0], sv,
-                              grid[::-1], nbar_slack)
-        conclusive = iter(_report(sv, q, nbar).conclusive)
+        scan = _after_loss(photon_probs(base), family.moments()[0], sv,
+                           grid[::-1], nbar_slack)
+        conclusive = iter(_report(sv, *scan).conclusive)
     else:
         conclusive = (holds(e) for e in grid[::-1])
     star: float | str = "one"

@@ -77,15 +77,16 @@ FAMILIES = [StateFamily("fock", 3), StateFamily("pac", 2.0),
 def assert_matches_lossy_matrix(family, s, eps, nbar_slack):
     # the lossy density matrix is the oracle of the generating-function path;
     # it is built at twice the cutoff, because the witness's n_bar is the
-    # closed-form mean and at cutoff 80 the matrix drops up to 2e-12 of it
-    # (PSS r = 0.8)
+    # closed-form mean and at cutoff 80 the matrix drops up to 2.7e-12 of it
+    # (PSS r = 0.8); the verdict counts the tail of the cutoff-80 state
     fast = witness_at_loss(family, s, eps, "a", nbar_slack=nbar_slack)
     lossy = apply_loss(family.build(160), ChannelSpec(eps))
     oracle = delta_a(lossy, s, nbar_slack=nbar_slack)
     assert abs(fast.delta - oracle.delta) <= 1e-12
     assert abs(fast.q_value - oracle.q_value) <= 1e-12
     assert abs(fast.n_bar - oracle.n_bar) <= 1e-12
-    assert fast.conclusive == (fast.delta < 0)
+    tail = _origin_series(qng.fock.photon_probs(family.build(80)), s, eps)[1]
+    assert fast.conclusive == (fast.delta + tail < 0)
 
 
 class TestCriterionAFromPhotonNumbers:
@@ -300,9 +301,8 @@ class TestCriterionBFromLosslessVector:
                                            nbar_slack):
         # the closed form drops nothing; the oracle drops what its mapped
         # state puts past the cutoff, which moves an origin value by at most
-        # 2/(pi(1-s)) times it, and adds that bound back on the conservative
-        # side: it never lies below the closed form, and at most twice the
-        # bound above it
+        # 2/(pi(1-s)) times it, and by no more than the truncation tail of
+        # its mapped photon numbers
         gmap = GaussianMapSpec(displacement=complex(re, im), squeeze=q)
         origins = []
         family_origin = qng.witness._family_origin
@@ -324,10 +324,12 @@ class TestCriterionBFromLosslessVector:
             assert np.isfinite(fast.delta)
             return
         lossy = apply_loss(family.build(80), ChannelSpec(eps))
-        lost = (np.trace(lossy.matrix).real
-                - np.sum(mapped_photon_probs(lossy, gmap)))
+        mapped = mapped_photon_probs(lossy, gmap)
+        lost = np.trace(lossy.matrix).real - np.sum(mapped)
         budget = 2 / (np.pi * (1 - s)) * lost
-        assert -1e-12 <= oracle.q_value - fast.q_value <= 2 * budget + 1e-12
+        assert abs(fast.q_value - oracle.q_value) <= budget + 1e-12
+        tail = _origin_series(mapped, s)[1]
+        assert abs(fast.q_value - oracle.q_value) <= tail + 1e-12
         assert fast.n_bar >= oracle.n_bar - 1e-12
 
     @settings(max_examples=200, deadline=None)
@@ -343,7 +345,7 @@ class TestCriterionBFromLosslessVector:
         tail = max(1.0 - float(np.sum(probs)), 0.0)
         assume(tail < 1e-12)
         closed = _family_origin(kind, param, beta, q, s)
-        assert (abs(closed - _origin_series(probs, s))
+        assert (abs(closed - _origin_series(probs, s)[0])
                 <= 2 / (np.pi * (1 - s)) * (tail + 1e-12))
 
     def test_fallback_is_the_direct_path(self, loss_calls):
@@ -667,9 +669,10 @@ class TestThresholds:
 
     def test_truncation_tail_counted_conservatively(self):
         # PSS r = 1 keeps all but 1.6e-9 of its mass at cutoff 80. Near full
-        # loss the witness is smaller than that: delta at cutoff 80 must not
-        # be negative where larger cutoffs find it positive
+        # loss the witness is smaller than that: delta is negative at cutoff
+        # 80 and positive at larger cutoffs, so the tail must decide
         family, s, eps = StateFamily("pss", 1.0), -2, 1 - 1e-5
+        assert witness_at_loss(family, s, eps, "a", cutoff=80).delta < 0
         for cutoff in (80, 120, 200):
             assert not witness_at_loss(family, s, eps, "a", cutoff=cutoff).conclusive
         res = epsilon_threshold(family, s, "a")
@@ -677,15 +680,16 @@ class TestThresholds:
 
     @pytest.mark.parametrize("s", [0, -0.5, -1, -3])
     @pytest.mark.parametrize("eps", [0, 0.5, 0.9, 1 - 1e-5])
-    def test_truncated_origin_value_bounds_the_full_one(self, s, eps):
-        # dropping levels 41.. of PSS r = 1 raises the origin value by at
-        # most twice the dropped levels' own bound, never lowers it
+    def test_truncation_tail_bounds_the_dropped_levels(self, s, eps):
+        # dropping levels 41.. of PSS r = 1 moves the origin value by no more
+        # than the tail reported for the kept levels
         p = qng.fock.photon_probs(make_pss(1.0, 200))
-        q_full, _ = qng.witness._after_loss(p, 0.0, s, eps, 0.0)
-        q_cut, _ = qng.witness._after_loss(p[:41], 0.0, s, eps, 0.0)
+        q_full, _ = _origin_series(p, s, eps)
+        q_cut, tail = _origin_series(p[:41], s, eps)
         x = eps - (1 - eps) * (1 + s) / (1 - s)
-        tail_bound = (1 - p[:41].sum()) * abs(x) ** 41 * 2 / (np.pi * (1 - s))
-        assert q_full - 1e-15 <= q_cut <= q_full + 2 * tail_bound + 1e-15
+        assert tail == pytest.approx((1 - p[:41].sum()) * abs(x) ** 41
+                                     * 2 / (np.pi * (1 - s)), rel=1e-12, abs=0)
+        assert abs(q_full - q_cut) <= tail + 1e-15
 
 
 def test_soundness_on_hull_samples():
