@@ -2,10 +2,12 @@
 
 The total photon count over k trials is modeled as Poisson(k * n_avg); the
 hull bound is averaged exactly over that distribution and each curve is
-normalized so the noiseless bound equals 1 at n_avg = 0. A distribution whose
-support needs more than bounds.MAX_GRID_POINTS counts is refused. The bound at
-each count is the bounded minimization of qng.bounds (_minimized_bound), as in
-the tabulated bound curves, so the recorded error bars keep their values.
+normalized so the noiseless bound equals 1 at n_avg = 0. The counts kept are
+0..n_hi, n_hi the first count whose upper tail is at most 1 - POISSON_MASS;
+their weights come from math.lgamma and numpy. A distribution whose support
+needs more than bounds.MAX_GRID_POINTS counts is refused. The bound at each
+count is the bounded minimization of qng.bounds (_minimized_bound), as in the
+tabulated bound curves, so the recorded error bars keep their values.
 """
 
 from __future__ import annotations
@@ -43,32 +45,46 @@ class BoundErrorRow:
     std: float
 
 
+def _support_refused(lam: float) -> ValueError:
+    return ValueError(f"Poisson mean k*n_avg = {lam:g} needs over "
+                      f"{MAX_GRID_POINTS} counts")
+
+
+def _poisson_weights(lam: float) -> np.ndarray:
+    """Poisson(lam) pmf of the counts 0..n_hi, n_hi the first count whose
+    upper tail sum_{j > n_hi} p_j is at most 1 - POISSON_MASS.
+
+    The tail is a reversed cumulative sum of the pmf, so the 1e-12 tail is not
+    lost to roundoff as in 1 - cdf. The pmf is taken out to 15 standard
+    deviations and 30 counts past lam, where what is left is below 1e-40.
+    """
+    if not lam < MAX_GRID_POINTS:  # NaN fails this too
+        raise _support_refused(lam)
+    top = math.ceil(lam + 15 * math.sqrt(lam)) + 30
+    log_fact = np.fromiter(map(math.lgamma, range(1, top + 2)), float, top + 1)
+    pmf = np.exp(np.arange(top + 1) * math.log(lam) - log_fact - lam)
+    upper = np.cumsum(pmf[::-1])[-2::-1]  # upper[n] = sum_{j > n} p_j
+    n_hi = int(np.argmax(upper <= 1.0 - POISSON_MASS))
+    if n_hi >= MAX_GRID_POINTS:
+        raise _support_refused(lam)
+    return pmf[:n_hi + 1]
+
+
 def normalized_bound_stats(s, n_avg: float, k: int) -> tuple[float, float]:
     """Mean and std of the normalized bound under Poisson(k * n_avg) counts."""
     sv = _coerce_s(s)
     scale = bound_at_zero(sv)
     if n_avg == 0:
         return 1.0, 0.0
-    # Poisson quantile and pmf in the form of scipy.stats.poisson's _ppf and
-    # _pmf, without importing scipy.stats; scipy loads on the first call only
-    from scipy.special import gammaln, pdtr, pdtrik, xlogy
-
-    lam = k * n_avg
-    quantile = pdtrik(POISSON_MASS, lam)
-    if not quantile < MAX_GRID_POINTS:  # NaN fails this too
-        raise ValueError(f"Poisson mean k*n_avg = {lam:g} needs over "
-                         f"{MAX_GRID_POINTS} counts")
-    n_hi = math.ceil(quantile)
-    if n_hi > 0 and pdtr(n_hi - 1, lam) >= POISSON_MASS:
-        n_hi -= 1
-    counts = np.arange(n_hi + 1)
-    weights = np.exp(xlogy(counts, lam) - gammaln(counts + 1) - lam)
-    values = np.array([_minimized_bound(c / k, sv)[0] for c in counts]) / scale
+    weights = _poisson_weights(k * n_avg)
+    size = len(weights)
+    values = np.fromiter((_minimized_bound(c / k, sv)[0] for c in range(size)),
+                         float, size) / scale
     total = weights.sum()
     mean = float(np.dot(weights, values) / total)
-    second = float(np.dot(weights, values**2) / total)
-    var = max(second - mean**2, 0.0)
-    return mean, float(np.sqrt(var))
+    # centered, so a std far below the mean does not cancel
+    std = math.sqrt(float(np.dot(weights, (values - mean) ** 2) / total))
+    return mean, std
 
 
 def bound_error_curve(spec: ErrorSpec) -> list[BoundErrorRow]:

@@ -270,11 +270,9 @@ def apply_loss(state: TruncatedState, channel: ChannelSpec) -> TruncatedState:
 
     Operator-sum form: the Kraus operator removing l photons has elements
     K_l[m-l, m] = sqrt(C(m, l) (1-eps)^{m-l} eps^l). All weights come from
-    one table of log factorials; each l is then one update of the output.
-    scipy is imported here, on the first call, and nowhere else in qng.fock.
+    one table of log factorials (math.lgamma); each l is then one update of
+    the output.
     """
-    from scipy.special import gammaln
-
     eps = channel.epsilon
     if eps == 0:
         return state
@@ -283,7 +281,8 @@ def apply_loss(state: TruncatedState, channel: ChannelSpec) -> TruncatedState:
     eta = 1.0 - eps
     kept = np.arange(d)
     lost = kept[:, None]
-    log_fact = gammaln(np.arange(1, 2 * d))  # log m! for m = 0..2d-2
+    # log m! for m = 0..2d-2
+    log_fact = np.fromiter(map(math.lgamma, range(1, 2 * d)), float, 2 * d - 1)
     # w[l, k] = sqrt(C(k + l, l) eta^k eps^l), the weight of K_l[k, k + l]
     with np.errstate(divide="ignore", invalid="ignore"):
         logw = (log_fact[kept + lost] - log_fact[kept] - log_fact[lost]
