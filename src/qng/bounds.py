@@ -12,7 +12,11 @@ P(0) = s <= 0 < P(1) = 4n(1-s) and P(2n+1) = s (4n(n+1))^2 <= 0, and by
 Descartes' rule P has at most two positive roots, so exactly one root lies in
 (1, 2n+1]: the minimum. pure_bound finds it by Newton's method from 2n+1, for
 a float or an array of n. At s = 0 the root is 2n+1 (wigner_bound_closed); at
-s = -1 it is the root of the cubic behind m_minus1_closed.
+s = -1 it is the root of the cubic behind m_minus1_closed. At n = 0 the hull
+holds only the vacuum, and every bound here is its origin value 2/(pi(1-s))
+(bound_at_zero), written as the prefactor of the photon-number series of
+qng.quasiprob, so the vacuum's witness is exactly 0. Each public function
+checks its own s and n where they enter.
 
 build_bound_curve and the error bars of qng.error_model still tabulate the
 bounded minimization of the objective (_minimized_bound), whose m_opt is off by
@@ -35,9 +39,13 @@ NEWTON_MAX_STEPS = 64  # the descent from 2n+1 takes at most 17 on n <= 60, s >=
 
 
 def bound_at_zero(s) -> float:
-    """Closed-form bound at n = 0 (only the vacuum is available)."""
+    """Closed-form bound at n = 0, the vacuum's origin value 2/(pi(1-s)).
+
+    The objective's 2/(pi sqrt(1+s(s-2))) is the same number for s <= 0, but
+    only this expression, the prefactor of quasiprob._origin_series, rounds
+    the way the vacuum's series does, so the vacuum's delta is exactly 0."""
     sv = _coerce_s(s)
-    return 2.0 / (np.pi * np.sqrt(1.0 + sv * (sv - 2.0)))
+    return 2.0 / (np.pi * (1.0 - sv))
 
 
 def wigner_bound_closed(n: float) -> float:
@@ -86,6 +94,7 @@ def pure_bound(n, s):
 
     Returns (bound, m_opt): floats for a float n, arrays for an array of n.
     The constraint is saturated: the minimizer uses exactly n mean photons.
+    At n = 0 the bound is bound_at_zero(s).
     """
     sv = _coerce_s(s)
     if np.ndim(n):
@@ -93,10 +102,12 @@ def pure_bound(n, s):
         if not np.all((n >= 0) & (n < np.inf)):
             raise ValueError("n must be finite and >= 0")
         m = _stationary_split(n, sv)
-        return bound_objective(m, n, sv), m
+        return np.where(n == 0, bound_at_zero(sv), bound_objective(m, n, sv)), m
     n = float(n)
     if not 0.0 <= n < math.inf:
         raise ValueError("n must be finite and >= 0")
+    if n == 0:
+        return bound_at_zero(sv), 0.0
     m = _stationary_split(n, sv)
     return float(bound_objective(m, n, sv)), m
 

@@ -3,11 +3,12 @@
 The total photon count over k trials is modeled as Poisson(k * n_avg); the
 hull bound is averaged exactly over that distribution and each curve is
 normalized so the noiseless bound equals 1 at n_avg = 0. The counts kept are
-0..n_hi, n_hi the first count whose upper tail is at most 1 - POISSON_MASS;
-their weights come from math.lgamma and numpy. A distribution whose support
-needs more than bounds.MAX_GRID_POINTS counts is refused. The bound at each
-count is the bounded minimization of qng.bounds (_minimized_bound), as in the
-tabulated bound curves, so the recorded error bars keep their values.
+0..n_hi, n_hi the first count whose upper tail is at most 1 - POISSON_MASS
+and at least 1 (the count that carries the std at tiny means); their weights
+come from math.lgamma and numpy. A distribution whose support needs more than
+bounds.MAX_GRID_POINTS counts is refused. The bound at each count is the
+bounded minimization of qng.bounds (_minimized_bound), as in the tabulated
+bound curves, so the recorded error bars keep their values.
 """
 
 from __future__ import annotations
@@ -52,7 +53,8 @@ def _support_refused(lam: float) -> ValueError:
 
 def _poisson_weights(lam: float) -> np.ndarray:
     """Poisson(lam) pmf of the counts 0..n_hi, n_hi the first count whose
-    upper tail sum_{j > n_hi} p_j is at most 1 - POISSON_MASS.
+    upper tail sum_{j > n_hi} p_j is at most 1 - POISSON_MASS, and at least 1,
+    so the smallest means keep their first-order std.
 
     The tail is a reversed cumulative sum of the pmf, so the 1e-12 tail is not
     lost to roundoff as in 1 - cdf. The pmf is taken out to 15 standard
@@ -64,7 +66,7 @@ def _poisson_weights(lam: float) -> np.ndarray:
     log_fact = np.fromiter(map(math.lgamma, range(1, top + 2)), float, top + 1)
     pmf = np.exp(np.arange(top + 1) * math.log(lam) - log_fact - lam)
     upper = np.cumsum(pmf[::-1])[-2::-1]  # upper[n] = sum_{j > n} p_j
-    n_hi = int(np.argmax(upper <= 1.0 - POISSON_MASS))
+    n_hi = max(1, int(np.argmax(upper <= 1.0 - POISSON_MASS)))
     if n_hi >= MAX_GRID_POINTS:
         raise _support_refused(lam)
     return pmf[:n_hi + 1]

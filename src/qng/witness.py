@@ -8,10 +8,11 @@ favourable. For a caller's state both criteria read photon numbers p_m, the
 mapped ones for criterion b. For criterion a, pure loss eps maps
 G(z) = sum_m p_m z^m to G(eps + eta z), eta = 1 - eps, so
 Q_s(0) = 2/(pi(1-s)) G(eps - eta (1+s)/(1-s)), n_bar = eta n_bar_0.
-Criterion b with an identity seed (Fock states) is criterion a. A threshold
-whose every scan point is criterion a evaluates its scan as one array call,
-with one hull-bound call for all the scan's mean photon numbers. Every
-verdict, the scan's and the bisection's, is _report's: delta + tail < 0,
+Criterion b with an identity seed (Fock states) is criterion a. The public
+functions check their inputs once, before a family state is built, and the
+evaluators under them take checked floats. A threshold's scan and bisection
+run through one evaluator, which takes the whole scan grid as one array when
+every scan point is criterion a. Every verdict is _report's: delta + tail < 0,
 where tail is the most the levels past the cutoff could add to the origin
 value (0 for a closed form), so truncation never makes a witness conclusive.
 
@@ -124,14 +125,18 @@ def _after_loss(p, nbar0: float, sv: float, epsilon, nbar_slack: float):
 def _photon_witness(p, s, nbar_slack: float,
                     gmap: GaussianMapSpec | None = None) -> WitnessReport:
     """First-criterion witness of the photon numbers p of a caller's state."""
-    sv = _coerce_s(s)
+    sv = _checked(s, "a", nbar_slack)
     nbar0 = float(np.dot(np.arange(p.size), p))
     return _report(sv, *_after_loss(p, nbar0, sv, 0.0, nbar_slack), gmap)
 
 
-def _check_slack(nbar_slack: float) -> None:
+def _checked(s, criterion: str, nbar_slack: float) -> float:
+    """The ordering s as a float, once s, criterion and nbar_slack are valid."""
+    if criterion not in ("a", "b"):
+        raise ValueError(f"criterion must be 'a' or 'b', got {criterion!r}")
     if not (math.isfinite(nbar_slack) and nbar_slack >= 0):
         raise ValueError(f"nbar_slack must be finite and >= 0, got {nbar_slack}")
+    return _coerce_s(s)
 
 
 def delta_a(state: TruncatedState, s, nbar_slack: float = 0.0) -> WitnessReport:
@@ -208,11 +213,10 @@ def _seed_map(family: StateFamily, epsilon: float) -> GaussianMapSpec:
     return GaussianMapSpec()
 
 
-def _lossy_witness(family: StateFamily, channel: ChannelSpec, sv: float,
+def _lossy_witness(family: StateFamily, eps: float, sv: float,
                    nbar_slack: float):
-    """Second-criterion witness of a PAC or PSS state after loss, as a cached
-    function of the map (the identity of the module docstring)."""
-    eps = channel.epsilon
+    """Second-criterion witness of a PAC or PSS state after checked loss eps,
+    as a cached function of the map (the identity of the module docstring)."""
     eta = 1.0 - eps
     n0, a1, a2 = family.moments()
 
@@ -238,31 +242,24 @@ def _lossy_witness(family: StateFamily, channel: ChannelSpec, sv: float,
     return witness
 
 
-def _check_criterion(criterion: str) -> None:
-    if criterion not in ("a", "b"):
-        raise ValueError(f"criterion must be 'a' or 'b', got {criterion!r}")
-
-
-def _witness(base: TruncatedState, family: StateFamily, s, epsilon: float,
-             criterion: str, nbar_slack: float) -> WitnessReport:
-    """Witness of the built family state base after loss epsilon."""
-    channel = ChannelSpec(epsilon)
-    _check_criterion(criterion)
-    sv = _coerce_s(s)
-    seed = _seed_map(family, channel.epsilon) if criterion == "b" else None
+def _witness(p, family: StateFamily, sv: float, eps, criterion: str,
+             nbar_slack: float) -> WitnessReport:
+    """Witness of a family member with built photon numbers p after loss eps,
+    all inputs checked; criterion a also takes an array of losses."""
+    seed = _seed_map(family, eps) if criterion == "b" else None
     if seed is None or seed.is_identity:
-        return _report(sv, *_after_loss(photon_probs(base), family.moments()[0],
-                                        sv, channel.epsilon, nbar_slack), seed)
-    witness = _lossy_witness(family, channel, sv, nbar_slack)
+        return _report(sv, *_after_loss(p, family.moments()[0], sv, eps,
+                                        nbar_slack), seed)
+    witness = _lossy_witness(family, eps, sv, nbar_slack)
     return witness(_refine(witness, seed))
 
 
 def witness_at_loss(family: StateFamily, s, epsilon: float, criterion: str,
                     cutoff: int = 80, nbar_slack: float = 0.0) -> WitnessReport:
     """Witness value of a family member after loss, map-optimized for 'b'."""
-    _check_slack(nbar_slack)
-    return _witness(family.build(cutoff), family, s, epsilon, criterion,
-                    nbar_slack)
+    sv, eps = _checked(s, criterion, nbar_slack), ChannelSpec(epsilon).epsilon
+    return _witness(photon_probs(family.build(cutoff)), family, sv, eps,
+                    criterion, nbar_slack)
 
 
 def epsilon_threshold(family: StateFamily, s, criterion: str = "a",
@@ -277,26 +274,20 @@ def epsilon_threshold(family: StateFamily, s, criterion: str = "a",
     the topmost sign change. Where every scan point is criterion a (criterion
     a, or identity seeds), the scan is one array evaluation.
     """
-    sv = _coerce_s(s)
+    sv = _checked(s, criterion, nbar_slack)
     # above 0.5 the grid tol..1-tol would run from high loss to low loss
     if not 1e-6 <= tol <= 0.5:  # NaN fails this too
         raise ValueError(f"tol must be in [1e-6, 0.5], got {tol}")
-    _check_slack(nbar_slack)
-    _check_criterion(criterion)
-    base = family.build(cutoff)
+    p = photon_probs(family.build(cutoff))
     grid = np.linspace(tol, 1.0 - tol, SCAN_POINTS)
     batch = criterion == "a" or all(_seed_map(family, e).is_identity for e in grid)
+    scan_criterion = "a" if batch else criterion
 
-    def holds(eps: float) -> bool:
-        return _witness(base, family, sv, eps, criterion, nbar_slack).conclusive
+    def holds(eps):
+        return _witness(p, family, sv, eps, scan_criterion, nbar_slack).conclusive
 
     # conclusive or not at each scan point, from the top down
-    if batch:
-        scan = _after_loss(photon_probs(base), family.moments()[0], sv,
-                           grid[::-1], nbar_slack)
-        conclusive = iter(_report(sv, *scan).conclusive)
-    else:
-        conclusive = (holds(e) for e in grid[::-1])
+    conclusive = iter(holds(grid[::-1])) if batch else map(holds, grid[::-1])
     star: float | str = "one"
     if not next(conclusive):  # at the top, hi = 1 - tol
         star = "none"

@@ -9,7 +9,7 @@ from qng.bounds import (_fminbound, _minimized_bound, bound_at_zero,
                         bound_objective, build_bound_curve, convexity_check,
                         m_minus1_closed, pure_bound, rank2_search,
                         wigner_bound_closed)
-from qng.quasiprob import PureGaussianParam, qs_pure_gaussian
+from qng.quasiprob import PureGaussianParam, _origin_series, qs_pure_gaussian
 
 S_VALUES = [-0.25, -0.5, -1.0, -2.0, -3.0]
 
@@ -30,6 +30,17 @@ def test_bound_at_zero_closed_forms():
         expected = 2 / (np.pi * np.sqrt(1 + s * (s - 2)))
         assert pure_bound(0, s)[0] == pytest.approx(expected, abs=1e-15)
     assert bound_at_zero(-1) == pytest.approx(1 / np.pi, rel=1e-15)
+
+
+@pytest.mark.parametrize("s", [0.0, -0.5, -1.0, -2.0, -2.69, -3.0])
+def test_bound_at_zero_is_the_vacuum_origin_value(s):
+    # the same expression as the photon-number series' prefactor, for a float
+    # n and inside an array; the objective's 2/(pi sqrt(1+s(s-2))) is one ulp
+    # above it at s = -2.69
+    vacuum = _origin_series(np.array([1.0]), s)[0]
+    assert bound_at_zero(s) == vacuum == pure_bound(0.0, s)[0]
+    bound = pure_bound(np.array([0.0, 1.0, 0.0]), s)[0]
+    assert (bound[0], bound[2]) == (vacuum, vacuum)
 
 
 def test_wigner_bound_closed_values():

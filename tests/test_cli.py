@@ -142,6 +142,13 @@ class TestThreshold:
                           capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("criterion", ["a", "b"])
+    def test_vacuum_is_never_certified(self, capsys, criterion):
+        code, out = run_cli(["threshold", "--family", "fock", "--m", "0",
+                             "--s", "-2.69", "--criterion", criterion], capsys)
+        assert code == 0
+        assert out.strip().split("\n")[1].split(",")[3] == "none"
+
 
 class TestWitnessCurve:
     def test_fock1_start_value(self, capsys):

@@ -187,17 +187,14 @@ def test_poisson_support_capped(monkeypatch, n_avg, k):
         normalized_bound_stats(-1, n_avg, k)
 
 
-@pytest.mark.parametrize("lam", [1e-16, 1e-12, 1e-6, 0.25, 25.0])
-@pytest.mark.parametrize("s", [0, -1])
-def test_matches_50_digit_oracle(s, lam):
-    # support and weights at 50 digits; the bound values are the same floats
-    mpmath = pytest.importorskip("mpmath")
-    mp = mpmath.mp.clone()
-    mp.dps = 50
+def _oracle_stats(mp, s, lam, tail):
+    """Mean and std of the normalized bound at 50 digits over the Poisson
+    counts 0..n_hi, n_hi >= 1 the first count whose upper tail is at most
+    tail; the bound values are the same floats as the library's."""
     lam_mp = mp.mpf(lam)
     pmf = [mp.exp(-lam_mp)]
     upper = 1 - pmf[0]
-    while upper > mp.mpf(1.0 - POISSON_MASS):
+    while upper > tail or len(pmf) < 2:
         pmf.append(pmf[-1] * lam_mp / len(pmf))
         upper -= pmf[-1]
     scale = bound_at_zero(s)
@@ -207,10 +204,35 @@ def test_matches_50_digit_oracle(s, lam):
     mean = mp.fsum(w * v for w, v in zip(pmf, values)) / total
     std = mp.sqrt(mp.fsum(w * (v - mean) ** 2
                           for w, v in zip(pmf, values)) / total)
-    assert len(_poisson_weights(lam)) == len(pmf)
+    return len(pmf), mean, std
+
+
+@pytest.mark.parametrize("lam", [1e-16, 1e-14, 1e-12, 1e-6, 0.25, 25.0])
+@pytest.mark.parametrize("s", [0, -1])
+def test_matches_50_digit_oracle(s, lam):
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.dps = 50
+    size, mean, std = _oracle_stats(mp, s, lam, mp.mpf(1.0 - POISSON_MASS))
+    assert len(_poisson_weights(lam)) == size
     got_mean, got_std = normalized_bound_stats(s, lam, 1)
     assert abs(got_mean - mean) <= 1e-12 * abs(mean)
     assert abs(got_std - std) <= 1e-12 * std
+
+
+@pytest.mark.parametrize("s", [0, -1])
+def test_tiny_mean_keeps_first_order_std(s):
+    # at k n_avg = 1e-14 all but 1e-14 of the mass is at count 0, but the
+    # std comes from count 1: about 7.07e-8 at s = -1, not 0
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.dps = 50
+    _, mean, std = _oracle_stats(mp, s, 1e-14, mp.mpf("1e-45"))  # untruncated
+    got_mean, got_std = normalized_bound_stats(s, 1e-14, 1)
+    assert abs(got_mean - mean) <= 1e-12 * abs(mean)
+    assert abs(got_std - std) <= 1e-12 * std
+    if s == -1:
+        assert got_std == pytest.approx(7.07e-8, rel=1e-3)
 
 
 def test_refusal_edge_matches_scipy(monkeypatch):

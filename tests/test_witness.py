@@ -254,7 +254,7 @@ class TestCriterionBFromPhotonNumbers:
 
 
 def lossy_family(family, s, eps, nbar_slack=0.1):
-    return _lossy_witness(family, ChannelSpec(eps), float(s), nbar_slack)
+    return _lossy_witness(family, eps, float(s), nbar_slack)
 
 
 def direct_oracle(family, s, eps, gmap, nbar_slack=0.1, cutoff=80):
@@ -423,6 +423,27 @@ class TestInputValidation:
             witness_at_loss(family, 0, 0.3, "a", nbar_slack=slack)
         with pytest.raises(ValueError, match="nbar_slack"):
             epsilon_threshold(family, 0, "b", nbar_slack=slack)
+        with pytest.raises(ValueError, match="nbar_slack"):
+            delta_a(make_fock(2, 10), 0, nbar_slack=slack)
+
+    @pytest.mark.parametrize("kind", ["pac", "pss"])
+    @pytest.mark.parametrize("bad,match", [
+        ({"epsilon": 1.5}, "epsilon"), ({"epsilon": np.nan}, "epsilon"),
+        ({"criterion": "c"}, "criterion"), ({"s": 0.5}, "ordering"),
+        ({"s": np.nan}, "ordering"), ({"nbar_slack": -1.0}, "nbar_slack")])
+    def test_checked_before_the_state_is_built(self, monkeypatch, kind, bad,
+                                               match):
+        def build(self, cutoff):
+            raise AssertionError("state built before its inputs were checked")
+
+        monkeypatch.setattr(StateFamily, "build", build)
+        args = {"s": -1, "epsilon": 0.3, "criterion": "b", "nbar_slack": 0.0}
+        with pytest.raises(ValueError, match=match):
+            witness_at_loss(StateFamily(kind, 0.5), **{**args, **bad})
+        if "epsilon" not in bad:
+            del args["epsilon"]
+            with pytest.raises(ValueError, match=match):
+                epsilon_threshold(StateFamily(kind, 0.5), **{**args, **bad})
 
     @pytest.mark.parametrize("kind,param,name", [
         ("fock", 1.5, "m"), ("fock", -1, "m"), ("fock", np.nan, "m"),
@@ -610,10 +631,10 @@ class TestThresholds:
         (StateFamily("fock", 1), -1.0, 1e-5)])
     def test_array_scan_matches_pointwise_scan(self, family, s, tol):
         # the scan as it ran before: one witness per grid point from the top
-        base = family.build(80)
+        p = qng.fock.photon_probs(family.build(80))
 
         def delta(eps):
-            return qng.witness._witness(base, family, s, eps, "a", 0.0).delta
+            return qng.witness._witness(p, family, float(s), eps, "a", 0.0).delta
 
         grid = np.linspace(tol, 1.0 - tol, qng.witness.SCAN_POINTS)
         star = "one" if delta(grid[-1]) <= 0 else "none"
@@ -627,13 +648,42 @@ class TestThresholds:
                 break
         assert epsilon_threshold(family, s, "a", tol=tol).epsilon_star == star
 
+    @pytest.mark.parametrize("family,s,criterion", [
+        (StateFamily("fock", 2), 0.0, "a"), (StateFamily("fock", 5), -2.0, "a"),
+        (StateFamily("fock", 3), -1.0, "b"), (StateFamily("pac", 2.0), -0.5, "a"),
+        (StateFamily("pss", 0.5), -1.0, "a")])
+    def test_bisection_verdicts_match_witness_at_loss(self, monkeypatch, family,
+                                                      s, criterion):
+        # each step of a criterion-a bisection (criterion a, or identity
+        # seeds) gives the verdict of a witness checked and built from scratch
+        steps, evaluate = [], qng.witness._witness
+
+        def kept(p, family, sv, eps, *args):
+            rep = evaluate(p, family, sv, eps, *args)
+            if np.ndim(eps) == 0:
+                steps.append((eps, rep.conclusive))
+            return rep
+
+        monkeypatch.setattr(qng.witness, "_witness", kept)
+        star = epsilon_threshold(family, s, criterion, tol=1e-4).epsilon_star
+        monkeypatch.undo()
+        assert isinstance(star, float) and len(steps) > 5
+        for eps, verdict in steps:
+            assert witness_at_loss(family, s, eps, criterion).conclusive == verdict
+
     @pytest.mark.parametrize("criterion", ["a", "b"])
-    @pytest.mark.parametrize("s", [0, -0.5, -1, -2])
-    def test_vacuum_never_conclusive(self, s, criterion):
-        # the vacuum lies on the hull: its delta is 0 up to roundoff, and
-        # only delta < 0 certifies
-        res = epsilon_threshold(StateFamily("fock", 0), s, criterion)
-        assert res.epsilon_star == "none"
+    def test_vacuum_never_conclusive(self, criterion):
+        # the vacuum lies on the hull: its origin value and the bound at
+        # n = 0 are one expression, so its delta is exactly 0, and only
+        # delta < 0 certifies
+        vacuum, certified = StateFamily("fock", 0), []
+        for s in np.arange(-300, 1) / 100:
+            if epsilon_threshold(vacuum, s, criterion).epsilon_star != "none":
+                certified.append((s, "threshold"))
+            for eps in (0, 0.3, 1):
+                if witness_at_loss(vacuum, s, eps, criterion).conclusive:
+                    certified.append((s, eps))
+        assert certified == []
 
     @pytest.mark.parametrize("criterion", ["a", "b"])
     def test_scan_reads_the_reports_verdict(self, monkeypatch, criterion):
