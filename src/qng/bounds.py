@@ -307,8 +307,10 @@ def _grid(n_max: float, step: float) -> np.ndarray:
 
 def build_bound_curve(s, n_max: float, step: float) -> BoundCurve:
     sv = _coerce_s(s)
-    if step <= 0 or n_max < 0:
-        raise ValueError("need step > 0 and n_max >= 0")
+    if not 0 < step < math.inf:  # NaN fails this too
+        raise ValueError(f"step must be finite and > 0, got {step}")
+    if not 0 <= n_max < math.inf:
+        raise ValueError(f"n_max must be finite and >= 0, got {n_max}")
     grid = _grid(n_max, step)
     samples = []
     for n in grid:

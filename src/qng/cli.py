@@ -16,7 +16,7 @@ from functools import cache
 from .bounds import MAX_GRID_POINTS, build_bound_curve
 from .error_model import ErrorSpec, bound_error_curve
 from .fock import TruncationError
-from .witness import StateFamily, epsilon_threshold, witness_at_loss
+from .witness import StateFamily, epsilon_threshold, witness_curve
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -110,13 +110,12 @@ def cmd_witness_curve(args) -> int:
     family = families[0]
     s_values = parse_s_list(args.s)
     eps_values = parse_range(args.eps, args.eps_step)
+    deltas = witness_curve(family, s_values, eps_values, args.criterion,
+                           cutoff=args.cutoff, nbar_slack=args.nbar_slack)
     lines = ["epsilon,s,delta"]
-    for eps in eps_values:
-        for s in s_values:
-            rep = witness_at_loss(family, s, eps, args.criterion,
-                                  cutoff=args.cutoff,
-                                  nbar_slack=args.nbar_slack)
-            lines.append(",".join([_fmt(eps), _fmt(s), _fmt(rep.delta)]))
+    for eps, row in zip(eps_values, deltas):
+        for s, delta in zip(s_values, row):
+            lines.append(",".join([_fmt(eps), _fmt(s), _fmt(delta)]))
     _write(args.out, "\n".join(lines) + "\n")
     return EXIT_OK
 

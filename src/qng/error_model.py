@@ -14,6 +14,7 @@ bound curves, so the recorded error bars keep their values.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,11 +32,12 @@ class ErrorSpec:
     s_list: list[float]
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
+        _check_k(self.k)
         grid = list(self.n_avg_grid)
-        if any(v < 0 for v in grid) or grid != sorted(grid):
-            raise ValueError("n_avg_grid must be sorted and nonnegative")
+        for n_avg in grid:
+            _check_n_avg(n_avg)
+        if grid != sorted(grid):
+            raise ValueError("n_avg_grid must be sorted")
 
 
 @dataclass(frozen=True)
@@ -44,6 +46,16 @@ class BoundErrorRow:
     n_avg: float
     mean: float
     std: float
+
+
+def _check_k(k) -> None:
+    if not (isinstance(k, numbers.Integral) and k >= 1):
+        raise ValueError(f"k must be an integer >= 1, got {k!r}")
+
+
+def _check_n_avg(n_avg) -> None:
+    if not 0 <= n_avg < math.inf:  # NaN fails this too
+        raise ValueError(f"n_avg must be finite and >= 0, got {n_avg}")
 
 
 def _support_refused(lam: float) -> ValueError:
@@ -75,6 +87,8 @@ def _poisson_weights(lam: float) -> np.ndarray:
 def normalized_bound_stats(s, n_avg: float, k: int) -> tuple[float, float]:
     """Mean and std of the normalized bound under Poisson(k * n_avg) counts."""
     sv = _coerce_s(s)
+    _check_k(k)
+    _check_n_avg(n_avg)
     scale = bound_at_zero(sv)
     if n_avg == 0:
         return 1.0, 0.0

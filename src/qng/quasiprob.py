@@ -108,9 +108,9 @@ def _pure_gaussian_origin(n, m, sv: float, cos_phase):
     return 2.0 * np.exp(-2.0 * num / d) / (np.pi * np.sqrt(d))
 
 
-def _family_origin(kind: str, param: float, beta: complex, q: float,
-                   s: float) -> float:
-    """Q_s(0) of D(beta) S(q) psi for the PAC or PSS state psi, in closed form.
+def _family_origin(kind: str, param: float, beta: complex, q: float, s):
+    """Q_s(0) of D(beta) S(q) psi for the PAC or PSS state psi, in closed form,
+    at one ordering s (a float, through math) or at an array of them.
 
     D(beta) S(q) psi = (A + B a^dag)|G> / norm: fock._family_ladder gives
     (lam a + kap a^dag + c)|G> on |G> = D(gamma) S(r)|0>, and a|G> =
@@ -137,7 +137,8 @@ def _family_origin(kind: str, param: float, beta: complex, q: float,
     x = -(1.0 + s) / (1.0 - s)
     a_p, a_m = math.exp(2.0 * r) - s, math.exp(-2.0 * r) - s
     d = a_p * a_m
-    gauss = 2.0 * math.exp(-2.0 * (re2 / a_p + im2 / a_m)) / (math.pi * math.sqrt(d))
+    ops = math if isinstance(s, float) else np
+    gauss = 2.0 * ops.exp(-2.0 * (re2 / a_p + im2 / a_m)) / (math.pi * ops.sqrt(d))
     h = x * (delta.conjugate() + t * x * delta) * ((1.0 - s) * math.cosh(r)) ** 2 / d
     x_df = (math.sinh(r) ** 2 * (1.0 + s) ** 2 / d
             - (1.0 - s * s) * (re2 / a_p ** 2 + im2 / a_m ** 2))

@@ -4,29 +4,39 @@ A witness compares the origin quasiprobability of a state against the
 Gaussian-hull bound at the state's mean photon number; a negative difference
 certifies the state lies outside the hull. Criterion b applies a Gaussian
 unitary (displacement or squeezing) chosen to make the comparison most
-favourable. For a caller's state both criteria read photon numbers p_m, the
-mapped ones for criterion b. For criterion a, pure loss eps maps
-G(z) = sum_m p_m z^m to G(eps + eta z), eta = 1 - eps, so
-Q_s(0) = 2/(pi(1-s)) G(eps - eta (1+s)/(1-s)), n_bar = eta n_bar_0.
-Criterion b with an identity seed (Fock states) is criterion a. The public
-functions check their inputs once, before a family state is built, and the
-evaluators under them take checked floats. A threshold's scan and bisection
-run through one evaluator, which takes the whole scan grid as one array when
-every scan point is criterion a. Every verdict is _report's: delta + tail < 0,
-where tail is the most the levels past the cutoff could add to the origin
-value (0 for a closed form), so truncation never makes a witness conclusive.
+favourable.
 
-Criterion b of a PAC or PSS state after loss needs no state: loss plus
-s-ordering is another ordering behind another Gaussian unitary (Cahill &
-Glauber, Phys. Rev. 177, 1882 (1969)). For U = D(beta) S(q), eta = 1 - eps
-and sigma+- = (eps - s e^(-+2q)) / eta,
+Every family witness (Fock, PAC and PSS after loss, both criteria) is a
+closed form and reads no photon numbers: loss plus s-ordering is another
+ordering behind another Gaussian unitary (Cahill & Glauber, Phys. Rev. 177,
+1882 (1969)). For U = D(beta) S(q), eta = 1 - eps and
+sigma+- = (eps - s e^(-+2q)) / eta,
 
     Q_s(0)[U L_eps(rho) U^dag] = Q_s2(0)[U' rho U'^dag] / eta,
 
 s2 = -sqrt(sigma+ sigma-), q2 = ln(sigma+ / sigma-) / 4, U' = D(beta') S(-q2),
 beta' = (e^(-q-q2) Re beta + i e^(q+q2) Im beta) / sqrt(eta), and the origin
 value of U' psi is a closed form (quasiprob._family_origin) with no cutoff.
-Reports are cached per loss value, so the refined map's report is reused.
+With no map (criterion a, and the identity seed of every Fock state) U' is
+the identity and s2 = -(eps - s)/eta, on an array of losses too: for |m> the
+value is 2/(pi(1-s)) x^m, x = eps - eta (1+s)/(1-s), and at full loss every
+state is the vacuum, 2/(pi(1-s)). n_bar comes from the closed moments
+(StateFamily.moments). StateFamily.build(cutoff) runs once per public call,
+only to refuse a family member that does not fit the cutoff.
+
+Photon numbers serve only a caller's state (delta_a, delta_b): the origin
+series of quasiprob._origin_series, with its truncation tail, the most the
+levels past the cutoff could add. nbar_slack is the caller's allowance for
+the mean photon number that a truncated state leaves out; the tail mass does
+not bound it.
+
+The public functions check their inputs once, before a family state is
+built, and the evaluators under them take checked floats. A threshold's scan
+and bisection run through one evaluator, which takes the whole scan grid as
+one array when every scan point is criterion a. Every verdict is _report's:
+delta + tail < 0, where tail is 0 for a closed form, so truncation never
+makes a witness conclusive. Criterion-b reports are cached per loss value,
+so the refined map's report is reused.
 """
 
 from __future__ import annotations
@@ -115,19 +125,14 @@ def _report(sv: float, q_value: float, nbar: float, tail: float,
                          delta=delta, conclusive=delta + tail < 0, map=gmap)
 
 
-def _after_loss(p, nbar0: float, sv: float, epsilon, nbar_slack: float):
-    """Origin value, n_bar and truncation tail of photon numbers p with mean
-    nbar0 after validated losses epsilon (a float, or an array of losses)."""
-    q, tail = _origin_series(p, sv, epsilon)
-    return q, (1.0 - epsilon) * nbar0 + nbar_slack, tail
-
-
 def _photon_witness(p, s, nbar_slack: float,
                     gmap: GaussianMapSpec | None = None) -> WitnessReport:
-    """First-criterion witness of the photon numbers p of a caller's state."""
+    """First-criterion witness of the photon numbers p of a caller's state,
+    with the truncation tail of its origin series."""
     sv = _checked(s, "a", nbar_slack)
-    nbar0 = float(np.dot(np.arange(p.size), p))
-    return _report(sv, *_after_loss(p, nbar0, sv, 0.0, nbar_slack), gmap)
+    q_value, tail = _origin_series(p, sv)
+    nbar = float(np.dot(np.arange(p.size), p)) + nbar_slack
+    return _report(sv, q_value, nbar, tail, gmap)
 
 
 def _checked(s, criterion: str, nbar_slack: float) -> float:
@@ -140,13 +145,20 @@ def _checked(s, criterion: str, nbar_slack: float) -> float:
 
 
 def delta_a(state: TruncatedState, s, nbar_slack: float = 0.0) -> WitnessReport:
-    """First-criterion witness: origin value minus hull bound at n_bar."""
+    """First-criterion witness: origin value minus hull bound at n_bar.
+
+    n_bar is the state's mean photon number plus nbar_slack, the caller's
+    allowance for the mean photon number that the truncated state leaves
+    out. The truncation tail counted in the verdict bounds only the origin
+    value: a tail mass tau past the cutoff can carry any mean photon number,
+    so only the caller can bound it."""
     return _photon_witness(photon_probs(state), s, nbar_slack)
 
 
 def delta_b(state: TruncatedState, s, gmap: GaussianMapSpec,
             nbar_slack: float = 0.0) -> WitnessReport:
-    """Second-criterion witness: first-criterion witness of the mapped state."""
+    """Second-criterion witness: first-criterion witness of the mapped state
+    (nbar_slack as for delta_a)."""
     return _photon_witness(mapped_photon_probs(state, gmap), s, nbar_slack, gmap)
 
 
@@ -242,24 +254,72 @@ def _lossy_witness(family: StateFamily, eps: float, sv: float,
     return witness
 
 
-def _witness(p, family: StateFamily, sv: float, eps, criterion: str,
+def _unmapped_witness(family: StateFamily, eps, sv: float, nbar_slack: float,
+                      gmap: GaussianMapSpec | None = None) -> WitnessReport:
+    """Witness of a family member after checked loss eps (a float, or an array
+    of losses) with no map: the identity case of _lossy_witness, where
+    sigma+ = sigma- and U' = 1, so the origin value is the s2-ordered value
+    of the lossless state over eta, s2 = -(eps - s)/eta."""
+    eta = 1.0 - eps
+    scale = 2.0 / (np.pi * (1.0 - sv))  # the vacuum's value, as bound_at_zero
+    if family.kind == "fock":  # Q_s2(0)[|m>] / eta = scale x^m
+        q_value = scale * (eps - eta * (1.0 + sv) / (1.0 - sv)) ** int(family.param)
+    elif np.ndim(eps):
+        full = eta == 0.0
+        kept = np.where(full, 1.0, eta)
+        origin = _family_origin(family.kind, family.param, 0j, 0.0,
+                                -(eps - sv) / kept) / kept
+        q_value = np.where(full, scale, origin)
+    elif eta == 0.0:  # full loss leaves the vacuum
+        q_value = scale
+    else:
+        q_value = _family_origin(family.kind, family.param, 0j, 0.0,
+                                 -(eps - sv) / eta) / eta
+    nbar = eta * family.moments()[0] + nbar_slack
+    return _report(sv, q_value, nbar, 0.0, gmap)
+
+
+def _witness(family: StateFamily, sv: float, eps, criterion: str,
              nbar_slack: float) -> WitnessReport:
-    """Witness of a family member with built photon numbers p after loss eps,
-    all inputs checked; criterion a also takes an array of losses."""
+    """Witness of a family member after loss eps, all inputs checked;
+    criterion a also takes an array of losses."""
     seed = _seed_map(family, eps) if criterion == "b" else None
     if seed is None or seed.is_identity:
-        return _report(sv, *_after_loss(p, family.moments()[0], sv, eps,
-                                        nbar_slack), seed)
+        return _unmapped_witness(family, eps, sv, nbar_slack, seed)
     witness = _lossy_witness(family, eps, sv, nbar_slack)
     return witness(_refine(witness, seed))
 
 
 def witness_at_loss(family: StateFamily, s, epsilon: float, criterion: str,
                     cutoff: int = 80, nbar_slack: float = 0.0) -> WitnessReport:
-    """Witness value of a family member after loss, map-optimized for 'b'."""
+    """Witness value of a family member after loss, map-optimized for 'b'.
+
+    The value is a closed form; the family member is built at cutoff only to
+    refuse (TruncationError) one that does not fit."""
     sv, eps = _checked(s, criterion, nbar_slack), ChannelSpec(epsilon).epsilon
-    return _witness(photon_probs(family.build(cutoff)), family, sv, eps,
-                    criterion, nbar_slack)
+    family.build(cutoff)
+    return _witness(family, sv, eps, criterion, nbar_slack)
+
+
+def witness_curve(family: StateFamily, s_values, eps_values, criterion: str,
+                  cutoff: int = 80, nbar_slack: float = 0.0) -> np.ndarray:
+    """Deltas of witness_at_loss at every (eps_values[i], s_values[j]), as an
+    array indexed [i, j], with the inputs checked and the family built once.
+
+    Criterion a takes the loss grid as one array per s; criterion b refines
+    a map at each point."""
+    s_checked = [_checked(s, criterion, nbar_slack) for s in s_values]
+    eps = [ChannelSpec(e).epsilon for e in eps_values]
+    family.build(cutoff)
+    deltas = np.empty((len(eps), len(s_checked)))
+    for j, sv in enumerate(s_checked):
+        if criterion == "a":
+            deltas[:, j] = _witness(family, sv, np.array(eps, dtype=float), "a",
+                                    nbar_slack).delta
+        else:
+            deltas[:, j] = [_witness(family, sv, e, "b", nbar_slack).delta
+                            for e in eps]
+    return deltas
 
 
 def epsilon_threshold(family: StateFamily, s, criterion: str = "a",
@@ -278,13 +338,13 @@ def epsilon_threshold(family: StateFamily, s, criterion: str = "a",
     # above 0.5 the grid tol..1-tol would run from high loss to low loss
     if not 1e-6 <= tol <= 0.5:  # NaN fails this too
         raise ValueError(f"tol must be in [1e-6, 0.5], got {tol}")
-    p = photon_probs(family.build(cutoff))
+    family.build(cutoff)  # refuses a family member that does not fit
     grid = np.linspace(tol, 1.0 - tol, SCAN_POINTS)
     batch = criterion == "a" or all(_seed_map(family, e).is_identity for e in grid)
     scan_criterion = "a" if batch else criterion
 
     def holds(eps):
-        return _witness(p, family, sv, eps, scan_criterion, nbar_slack).conclusive
+        return _witness(family, sv, eps, scan_criterion, nbar_slack).conclusive
 
     # conclusive or not at each scan point, from the top down
     conclusive = iter(holds(grid[::-1])) if batch else map(holds, grid[::-1])

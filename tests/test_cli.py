@@ -7,7 +7,7 @@ import pytest
 import qng.error_model
 from qng.cli import MAX_CUTOFF, build_parser, main
 from qng.quasiprob import S_MIN
-from qng.witness import StateFamily
+from qng.witness import StateFamily, witness_at_loss
 
 
 def run_cli(args, capsys):
@@ -162,6 +162,51 @@ class TestWitnessCurve:
         assert first == pytest.approx(-2 / np.pi - 2 / np.pi * np.exp(-4),
                                       abs=1e-9)
 
+    @pytest.mark.parametrize("family,flag,value,criterion", [
+        ("fock", "--m", "3", "a"), ("pac", "--alpha", "2", "a"),
+        ("pss", "--r", "1.0", "a"), ("fock", "--m", "2", "b"),
+        ("pac", "--alpha", "2", "b"), ("pss", "--r", "0.5", "b")])
+    def test_builds_once_and_rows_match_witness_at_loss(
+            self, monkeypatch, capsys, family, flag, value, criterion):
+        builds = []
+        build = StateFamily.build
+
+        def counted_build(self, cutoff):
+            builds.append(cutoff)
+            return build(self, cutoff)
+
+        monkeypatch.setattr(StateFamily, "build", counted_build)
+        code, out = run_cli(["witness-curve", "--family", family, flag, value,
+                             "--s", "0,-1,-2.5", "--eps", "0..1",
+                             "--eps-step", "0.125", "--criterion", criterion],
+                            capsys)
+        monkeypatch.undo()
+        assert code == 0
+        assert builds == [80]
+        rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+        assert [(float(e), float(s)) for e, s, _ in rows] == [
+            (k / 8, s) for k in range(9) for s in (0.0, -1.0, -2.5)]
+        member = StateFamily(family, float(value))
+        for eps, s, delta in rows:
+            rep = witness_at_loss(member, float(s), float(eps), criterion)
+            assert abs(float(delta) - rep.delta) <= 1e-14
+
+    @pytest.mark.parametrize("command", ["witness-curve", "threshold"])
+    @pytest.mark.parametrize("criterion", ["a", "b"])
+    def test_family_past_the_cutoff_is_numerical_failure(self, capsys, command,
+                                                         criterion):
+        # the witness is a closed form, but the cutoff still refuses a
+        # family member it cannot hold
+        code = main([command, "--family", "pac", "--alpha", "2", "--s", "-1",
+                     "--eps", "0.5", "--criterion", criterion, "--cutoff", "5"]
+                    if command == "witness-curve" else
+                    [command, "--family", "pac", "--alpha", "2", "--s", "-1",
+                     "--criterion", criterion, "--cutoff", "5"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err.startswith("numerical failure:")
+
     def test_vacuum_not_supported_as_family(self, capsys):
         code, _ = run_cli(["witness-curve", "--family", "fock", "--m", "0..1",
                            "--step", "1", "--s", "0", "--eps", "0"], capsys)
@@ -241,6 +286,30 @@ def test_huge_grid_rejected(args, capsys):
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("error:")
+
+
+@pytest.mark.parametrize("args,name", [
+    (["bound-curve", "--s", "-1", "--n-max", "nan", "--step", "0.1"], "n_max"),
+    (["bound-curve", "--s", "-1", "--n-max", "inf", "--step", "0.1"], "n_max"),
+    (["bound-curve", "--s", "-1", "--n-max", "-1", "--step", "0.1"], "n_max"),
+    (["bound-curve", "--s", "-1", "--n-max", "1", "--step", "nan"], "step"),
+    (["bound-curve", "--s", "-1", "--n-max", "1", "--step", "inf"], "step"),
+    (["bound-curve", "--s", "-1", "--n-max", "1", "--step", "0"], "step"),
+    (["error-bars", "--s", "-1", "--n-avg", "nan"], "n_avg"),
+    (["error-bars", "--s", "-1", "--n-avg", "inf"], "n_avg"),
+    (["error-bars", "--s", "-1", "--n-avg", "-0.5"], "n_avg"),
+    (["error-bars", "--s", "-1", "--n-avg", "1", "--k", "0"], "k"),
+], ids=["n-max-nan", "n-max-inf", "n-max-negative", "step-nan", "step-inf",
+        "step-zero", "n-avg-nan", "n-avg-inf", "n-avg-negative", "k-zero"])
+def test_bad_number_named_in_its_own_error(args, name, capsys):
+    # these used to print numpy's "arange: cannot compute length" or a
+    # Poisson support of nan counts
+    code = main(args)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {name} must be")
+    assert captured.err.count("\n") == 1
 
 
 def test_long_range_kept_by_accumulation():

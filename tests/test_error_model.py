@@ -25,6 +25,28 @@ def test_spec_validation():
         ErrorSpec(k=10, n_avg_grid=[1.0, 0.5], s_list=[-1])
 
 
+@pytest.mark.parametrize("k", [0, -1, 2.5, 100.0, "3"])
+def test_k_must_be_an_integer_at_least_one(k):
+    # k = -1 raised "math domain error", and k = 2.5 returned a value
+    with pytest.raises(ValueError, match=r"k must be an integer >= 1"):
+        normalized_bound_stats(-1, 0.5, k)
+    with pytest.raises(ValueError, match=r"k must be an integer >= 1"):
+        ErrorSpec(k=k, n_avg_grid=[0.5], s_list=[-1])
+
+
+def test_numpy_integer_k_accepted():
+    assert normalized_bound_stats(-1, 0.5, np.int64(20)) == \
+        normalized_bound_stats(-1, 0.5, 20)
+
+
+@pytest.mark.parametrize("n_avg", [np.nan, np.inf, -0.5])
+def test_n_avg_must_be_finite_nonnegative(n_avg):
+    with pytest.raises(ValueError, match="n_avg must be finite and >= 0"):
+        normalized_bound_stats(-1, n_avg, 10)
+    with pytest.raises(ValueError, match="n_avg must be finite and >= 0"):
+        ErrorSpec(k=10, n_avg_grid=[0.0, n_avg], s_list=[-1])
+
+
 def test_point_mass_at_zero():
     for s in [0, -1, -2]:
         mean, std = normalized_bound_stats(s, 0.0, 100)

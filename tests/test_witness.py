@@ -16,7 +16,7 @@ from qng.fock import (ChannelSpec, GaussianMapSpec, TruncatedState,
 from qng.quasiprob import _family_origin, _origin_series
 from qng.witness import (StateFamily, _lossy_witness, _refine, beta_opt, delta_a,
                          delta_b, epsilon_threshold, q_opt, refine_map,
-                         witness_at_loss)
+                         witness_at_loss, witness_curve)
 
 
 @pytest.fixture
@@ -75,18 +75,17 @@ FAMILIES = [StateFamily("fock", 3), StateFamily("pac", 2.0),
 
 
 def assert_matches_lossy_matrix(family, s, eps, nbar_slack):
-    # the lossy density matrix is the oracle of the generating-function path;
-    # it is built at twice the cutoff, because the witness's n_bar is the
-    # closed-form mean and at cutoff 80 the matrix drops up to 2.7e-12 of it
-    # (PSS r = 0.8); the verdict counts the tail of the cutoff-80 state
+    # the lossy density matrix is the oracle of the closed form; it is built
+    # at twice the cutoff, because the witness's n_bar is the closed-form
+    # mean and at cutoff 80 the matrix drops up to 2.7e-12 of it (PSS
+    # r = 0.8); a closed form has no truncation tail to count
     fast = witness_at_loss(family, s, eps, "a", nbar_slack=nbar_slack)
     lossy = apply_loss(family.build(160), ChannelSpec(eps))
     oracle = delta_a(lossy, s, nbar_slack=nbar_slack)
     assert abs(fast.delta - oracle.delta) <= 1e-12
     assert abs(fast.q_value - oracle.q_value) <= 1e-12
     assert abs(fast.n_bar - oracle.n_bar) <= 1e-12
-    tail = _origin_series(qng.fock.photon_probs(family.build(80)), s, eps)[1]
-    assert fast.conclusive == (fast.delta + tail < 0)
+    assert fast.conclusive == (fast.delta < 0)
 
 
 class TestCriterionAFromPhotonNumbers:
@@ -143,6 +142,127 @@ class TestCriterionAFromPhotonNumbers:
             witness_at_loss(StateFamily("fock", 1), 0, 0.5, "c")
         with pytest.raises(ValueError):
             epsilon_threshold(StateFamily("fock", 1), 0, "c")
+
+
+CLOSED_FORM_FAMILIES = [StateFamily(kind, param) for kind, params in (
+    ("fock", (0, 1, 2, 5, 8)), ("pac", (0.0, 0.1, 1.0, 2.0, 3.0)),
+    ("pss", (0.0, 0.05, 0.3, 0.6, 1.0))) for param in params]
+CLOSED_FORM_S = [0, -0.25, -1, -2, -5]
+CLOSED_FORM_EPS = [0, 0.1, 0.5, 0.9, 0.999, 1 - 1e-9, 1]
+
+
+def mp_photon_numbers(mp, family, levels):
+    """Photon numbers of a lossless family member at mp's precision: |m>,
+    a^dag D(alpha)|0> / sqrt(1 + alpha^2) (Poisson shifted up by one, times
+    m / (1 + alpha^2)) and S(r)|1> (odd levels, sech^3 r tanh^(2k) r
+    (2k+1)! / (4^k k!^2) at level 2k + 1)."""
+    x = mp.mpf(family.param)
+    if family.kind == "fock":
+        return [mp.mpf(m == family.param) for m in range(levels)]
+    if family.kind == "pac":
+        return [mp.mpf(0)] + [mp.exp(-x * x) * x ** (2 * m - 2) * m
+                              / (mp.factorial(m - 1) * (1 + x * x))
+                              for m in range(1, levels)]
+    return [mp.mpf(0) if m % 2 == 0 else
+            mp.sech(x) ** 3 * mp.tanh(x) ** (m - 1) * mp.factorial(m)
+            / (4 ** (m // 2) * mp.factorial(m // 2) ** 2)
+            for m in range(levels)]
+
+
+class TestFamilyClosedForm:
+    """Every family witness is a closed form (criterion a of every family,
+    criterion b of Fock states): the s2-ordered value of the lossless state
+    over eta, with no photon numbers."""
+
+    @pytest.fixture(scope="class")
+    def mp(self):
+        mpmath = pytest.importorskip("mpmath")
+        mp = mpmath.mp.clone()
+        mp.dps = 50
+        return mp
+
+    @pytest.mark.parametrize("family", CLOSED_FORM_FAMILIES,
+                             ids=lambda f: f"{f.kind}{f.param}")
+    def test_matches_doubled_cutoff_and_50_digit_series(self, mp, family):
+        # 300 levels hold PAC alpha = 3 and PSS r = 1 to far below 1e-40
+        probs = mp_photon_numbers(mp, family, 300)
+        mp_nbar0 = mp.fsum(m * p for m, p in enumerate(probs))
+        p160 = qng.fock.photon_probs(family.build(160))
+        eps_grid = np.array(CLOSED_FORM_EPS)
+        for s in CLOSED_FORM_S:
+            sv = float(s)
+            scan = qng.witness._witness(family, sv, eps_grid, "a", 0.0)
+            series = _origin_series(p160, sv, eps_grid)[0]
+            for i, eps in enumerate(CLOSED_FORM_EPS):
+                rep = witness_at_loss(family, s, eps, "a")
+                eps_mp, s_mp = mp.mpf(eps), mp.mpf(sv)
+                x = eps_mp - (1 - eps_mp) * (1 + s_mp) / (1 - s_mp)
+                q_mp = 2 / (mp.pi * (1 - s_mp)) * mp.fsum(
+                    p * x ** m for m, p in enumerate(probs))
+                assert abs(rep.q_value - q_mp) <= 1e-15
+                assert abs(rep.q_value - series[i]) <= 1e-15
+                assert abs(rep.n_bar - (1 - eps_mp) * mp_nbar0) <= 1e-15 * max(
+                    1.0, rep.n_bar)
+                assert abs(scan.q_value[i] - rep.q_value) <= 1e-15
+                assert scan.n_bar[i] == rep.n_bar
+                assert rep.conclusive == (rep.delta < 0)
+
+    @pytest.mark.parametrize("family", [StateFamily("pac", 0.0),
+                                        StateFamily("pac", 2.0),
+                                        StateFamily("pss", 0.05),
+                                        StateFamily("pss", 1.0)],
+                             ids=lambda f: f"{f.kind}{f.param}")
+    @pytest.mark.parametrize("s", [0, -1, -3])
+    @pytest.mark.parametrize("eps", [0, 0.3, 0.999])
+    def test_is_the_identity_map_of_the_lossy_witness(self, family, s, eps):
+        rep = witness_at_loss(family, s, eps, "a", nbar_slack=0.1)
+        mapped = lossy_family(family, s, eps)(GaussianMapSpec())
+        assert (rep.q_value, rep.n_bar, rep.delta) == (
+            mapped.q_value, mapped.n_bar, mapped.delta)
+
+    @pytest.mark.parametrize("family", [StateFamily("pac", 2.0),
+                                        StateFamily("pss", 1.0)],
+                             ids=lambda f: f.kind)
+    @pytest.mark.parametrize("s", [0, -2])
+    def test_full_loss_leaves_the_vacuum(self, family, s):
+        vacuum = witness_at_loss(StateFamily("fock", 0), s, 1.0, "a",
+                                 nbar_slack=0.2)
+        for criterion in "ab":
+            rep = witness_at_loss(family, s, 1.0, criterion, nbar_slack=0.2)
+            assert (rep.q_value, rep.n_bar, rep.delta) == (
+                vacuum.q_value, vacuum.n_bar, vacuum.delta)
+        scan = qng.witness._witness(family, float(s), np.array([0.5, 1.0]),
+                                    "a", 0.2)
+        assert (scan.q_value[1], scan.n_bar[1]) == (vacuum.q_value,
+                                                    vacuum.n_bar)
+
+    @pytest.mark.parametrize("criterion", ["a", "b"])
+    def test_family_witnesses_read_no_photon_numbers(self, monkeypatch,
+                                                     criterion):
+        def refused(*args, **kwargs):
+            raise AssertionError("a family witness read photon numbers")
+
+        for name in ("_origin_series", "photon_probs", "mapped_photon_probs"):
+            monkeypatch.setattr(qng.witness, name, refused)
+        for family in (StateFamily("fock", 0), StateFamily("fock", 3),
+                       StateFamily("pac", 0.0), StateFamily("pac", 2.0),
+                       StateFamily("pss", 0.5), StateFamily("pss", 1.0)):
+            for s in (0, -1, -2):
+                epsilon_threshold(family, s, criterion, tol=1e-3)
+                for eps in (0, 0.3, 0.95, 1):
+                    witness_at_loss(family, s, eps, criterion)
+            witness_curve(family, [0, -1], [0, 0.5, 1], criterion)
+
+    def test_family_that_does_not_fit_is_refused(self):
+        # the closed form needs no cutoff; the built state still guards it
+        family = StateFamily("pac", 2.0)
+        for criterion in "ab":
+            with pytest.raises(TruncationError):
+                witness_at_loss(family, -1, 0.5, criterion, cutoff=5)
+            with pytest.raises(TruncationError):
+                epsilon_threshold(family, -1, criterion, cutoff=5)
+            with pytest.raises(TruncationError):
+                witness_curve(family, [-1], [0.5], criterion, cutoff=5)
 
 
 class TestClosedMoments:
@@ -631,10 +751,8 @@ class TestThresholds:
         (StateFamily("fock", 1), -1.0, 1e-5)])
     def test_array_scan_matches_pointwise_scan(self, family, s, tol):
         # the scan as it ran before: one witness per grid point from the top
-        p = qng.fock.photon_probs(family.build(80))
-
         def delta(eps):
-            return qng.witness._witness(p, family, float(s), eps, "a", 0.0).delta
+            return qng.witness._witness(family, float(s), eps, "a", 0.0).delta
 
         grid = np.linspace(tol, 1.0 - tol, qng.witness.SCAN_POINTS)
         star = "one" if delta(grid[-1]) <= 0 else "none"
@@ -658,8 +776,8 @@ class TestThresholds:
         # seeds) gives the verdict of a witness checked and built from scratch
         steps, evaluate = [], qng.witness._witness
 
-        def kept(p, family, sv, eps, *args):
-            rep = evaluate(p, family, sv, eps, *args)
+        def kept(family, sv, eps, *args):
+            rep = evaluate(family, sv, eps, *args)
             if np.ndim(eps) == 0:
                 steps.append((eps, rep.conclusive))
             return rep
@@ -718,13 +836,22 @@ class TestThresholds:
         assert witness_at_loss(family, s, star + tol, "b").delta >= margin
 
     def test_truncation_tail_counted_conservatively(self):
-        # PSS r = 1 keeps all but 1.6e-9 of its mass at cutoff 80. Near full
-        # loss the witness is smaller than that: delta is negative at cutoff
-        # 80 and positive at larger cutoffs, so the tail must decide
-        family, s, eps = StateFamily("pss", 1.0), -2, 1 - 1e-5
-        assert witness_at_loss(family, s, eps, "a", cutoff=80).delta < 0
+        # PSS r = 1 keeps all but 1.6e-9 of its mass at cutoff 80. Read at
+        # s2 = -(eps - s)/eta, its photon numbers sum the series of the
+        # family witness at s = -2 and eps = 1 - 1e-5 (over eta), where the
+        # witness is smaller than the tail: delta is negative at cutoff 80
+        # and positive at larger cutoffs, so the tail must decide
+        s, eps = -2.0, 1 - 1e-5
+        s2 = -(eps - s) / (1 - eps)
+        assert delta_a(make_pss(1.0, 80), s2).delta < 0
         for cutoff in (80, 120, 200):
-            assert not witness_at_loss(family, s, eps, "a", cutoff=cutoff).conclusive
+            assert not delta_a(make_pss(1.0, cutoff), s2).conclusive
+        # the family witness is the closed form: +1.9e-10 at any cutoff
+        family = StateFamily("pss", 1.0)
+        for cutoff in (80, 120, 200):
+            rep = witness_at_loss(family, s, eps, "a", cutoff=cutoff)
+            assert rep.delta == pytest.approx(1.935e-10, rel=1e-3)
+            assert not rep.conclusive
         res = epsilon_threshold(family, s, "a")
         assert res.epsilon_star == "none"
 
