@@ -50,8 +50,8 @@ def bound_at_zero(s) -> float:
 
 def wigner_bound_closed(n: float) -> float:
     """Closed-form Wigner (s = 0) hull bound: (2/pi) exp(-2n(1+n))."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    if not 0 <= n < math.inf:  # NaN fails this too
+        raise ValueError("n must be finite and >= 0")
     return 2.0 / np.pi * np.exp(-2.0 * n * (1.0 + n))
 
 
@@ -209,8 +209,8 @@ def m_minus1_closed(n: float) -> float:
     at small n, and one Newton step polishes it. m = y^2 / (4(1+y)), clamped
     to [0, n].
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    if not 0 <= n < math.inf:  # NaN fails this too
+        raise ValueError("n must be finite and >= 0")
     p, q = -(4.0 * n + 10.0 / 3.0), 56.0 / 27.0 + 4.0 * n / 3.0  # of z = y + 4/3
     r = 2.0 * math.sqrt(-p / 3.0)
     phi = math.acos(max(-1.0, min(1.0, 3.0 * q / (p * r)))) / 3.0
@@ -299,7 +299,12 @@ MAX_GRID_POINTS = 1_000_000  # longest grid a bound table or a CLI range may hol
 
 
 def _grid(n_max: float, step: float) -> np.ndarray:
-    """0, step, 2 step, ... up to n_max, refused above MAX_GRID_POINTS values."""
+    """0, step, 2 step, ... up to n_max, for a finite step > 0 and a finite
+    n_max >= 0, refused above MAX_GRID_POINTS values."""
+    if not 0 < step < math.inf:  # NaN fails this too
+        raise ValueError(f"step must be finite and > 0, got {step}")
+    if not 0 <= n_max < math.inf:
+        raise ValueError(f"n_max must be finite and >= 0, got {n_max}")
     if (n_max + step / 2) / step > MAX_GRID_POINTS:
         raise ValueError(f"n_max / step exceeds {MAX_GRID_POINTS} grid points")
     return np.arange(0.0, n_max + step / 2, step)
@@ -307,10 +312,6 @@ def _grid(n_max: float, step: float) -> np.ndarray:
 
 def build_bound_curve(s, n_max: float, step: float) -> BoundCurve:
     sv = _coerce_s(s)
-    if not 0 < step < math.inf:  # NaN fails this too
-        raise ValueError(f"step must be finite and > 0, got {step}")
-    if not 0 <= n_max < math.inf:
-        raise ValueError(f"n_max must be finite and >= 0, got {n_max}")
     grid = _grid(n_max, step)
     samples = []
     for n in grid:
@@ -334,8 +335,6 @@ def convexity_check(s, n_max: float, step: float,
                     tol: float = 1e-10) -> ConvexityReport:
     """Check convexity (second differences) and strict decrease on a grid."""
     sv = _coerce_s(s)
-    if step <= 0:
-        raise ValueError("step must be > 0")
     grid = _grid(n_max, step)
     b = pure_bound(grid, sv)[0]
     second = b[:-2] - 2.0 * b[1:-1] + b[2:]

@@ -95,8 +95,7 @@ def cmd_threshold(args) -> int:
     for family in families:
         for s in s_values:
             res = epsilon_threshold(family, s, criterion=args.criterion,
-                                    tol=args.tol, cutoff=args.cutoff,
-                                    nbar_slack=args.nbar_slack)
+                                    tol=args.tol, cutoff=args.cutoff)
             lines.append(",".join([_fmt(family.param), _fmt(s), args.criterion,
                                    _fmt(res.epsilon_star)]))
     _write(args.out, "\n".join(lines) + "\n")
@@ -111,7 +110,7 @@ def cmd_witness_curve(args) -> int:
     s_values = parse_s_list(args.s)
     eps_values = parse_range(args.eps, args.eps_step)
     deltas = witness_curve(family, s_values, eps_values, args.criterion,
-                           cutoff=args.cutoff, nbar_slack=args.nbar_slack)
+                           cutoff=args.cutoff)
     lines = ["epsilon,s,delta"]
     for eps, row in zip(eps_values, deltas):
         for s, delta in zip(s_values, row):
@@ -173,12 +172,6 @@ def build_parser() -> argparse.ArgumentParser:
                 f"must be in [1, {MAX_CUTOFF}], got {text}")
         return value
 
-    def finite_nonnegative(text: str) -> float:
-        value = float(text)
-        if not (math.isfinite(value) and value >= 0):
-            raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text}")
-        return value
-
     def add_family_flags(p):
         p.add_argument("--family", choices=("fock", "pac", "pss"),
                        required=True)
@@ -191,7 +184,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--s", required=True,
                        help="comma-separated ordering parameters, all <= 0")
         p.add_argument("--cutoff", type=cutoff, default=_CUTOFF_FROM_ENV)
-        p.add_argument("--nbar-slack", type=finite_nonnegative, default=0.0)
         p.add_argument("--out", default=None)
 
     pt = sub.add_parser("threshold", help="scan loss thresholds per family")

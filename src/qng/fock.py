@@ -131,12 +131,10 @@ def _trusted_state(cutoff: int, rho: np.ndarray, tail_bound: float) -> Truncated
     return state
 
 
-def _state_from_vector(psi: np.ndarray, cutoff: int, what: str) -> TruncatedState:
-    """Pure state |psi><psi|; the norm missing from psi is its tail.
-
-    A kept norm above 1 means the amplitudes cancelled in floating point (a
-    PSS r of about 100 or more): no cutoff holds that state either.
-    """
+def _vector_tail(cutoff: int, psi: np.ndarray, what: str) -> float:
+    """The norm missing from psi on levels 0..cutoff, once psi fits: a kept
+    norm above 1 means the amplitudes cancelled in floating point (a PSS r of
+    about 100 or more), and no cutoff holds that state either."""
     norm = float(np.sum(np.abs(psi) ** 2))
     if norm > 1.0 + TRACE_TOL:
         raise TruncationError(f"cutoff {cutoff} keeps norm {norm:.3e} > 1 for {what}")
@@ -145,44 +143,59 @@ def _state_from_vector(psi: np.ndarray, cutoff: int, what: str) -> TruncatedStat
         raise TruncationError(f"cutoff {cutoff} leaves tail {tail:.3e} for {what}")
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
-    return _trusted_state(cutoff, np.outer(psi, psi.conj()), tail)
+    return tail
+
+
+def _state_from_vector(cutoff: int, psi: np.ndarray, what: str) -> TruncatedState:
+    """Pure state |psi><psi|; the norm missing from psi is its tail."""
+    return _trusted_state(cutoff, np.outer(psi, psi.conj()),
+                          _vector_tail(cutoff, psi, what))
+
+
+def _member_vector(kind: str, param, cutoff: int) -> tuple[np.ndarray, str]:
+    """Amplitudes on levels 0..cutoff of the Fock state |param> or of the PAC
+    or PSS state of _family_ladder, and the state's name for error messages;
+    a Fock state past the cutoff raises TruncationError."""
+    if kind == "fock":
+        if param > cutoff:
+            raise TruncationError(
+                f"cutoff {cutoff} too small for Fock state |{param}>")
+        psi = np.zeros(cutoff + 1)
+        psi[param] = 1.0
+        return psi, f"Fock state |{param}>"
+    name = "PAC alpha" if kind == "pac" else "PSS r"
+    return _family_vector(kind, param, cutoff), f"{name}={param:.3g}"
 
 
 def make_fock(m: int, cutoff: int) -> TruncatedState:
     """Fock state |m><m|."""
     if m < 0:
         raise ValueError("m must be >= 0")
-    if m > cutoff:
-        raise TruncationError(f"cutoff {cutoff} too small for Fock state |{m}>")
-    psi = np.zeros(cutoff + 1)
-    psi[m] = 1.0
-    return _state_from_vector(psi, cutoff, f"Fock state |{m}>")
+    return _state_from_vector(cutoff, *_member_vector("fock", m, cutoff))
 
 
 def make_coherent(alpha: complex, cutoff: int) -> TruncatedState:
     """Coherent state |alpha>, truncated at the given cutoff."""
-    return _state_from_vector(displaced_squeezed_vector(alpha, 0.0, cutoff),
-                              cutoff, f"|alpha|={abs(alpha):.3g}")
+    return _state_from_vector(cutoff, displaced_squeezed_vector(alpha, 0.0, cutoff),
+                              f"|alpha|={abs(alpha):.3g}")
 
 
 def make_pac(alpha: float, cutoff: int) -> TruncatedState:
     """Photon-added coherent state, normalized a^dag |alpha>."""
-    return _state_from_vector(_family_vector("pac", alpha, cutoff), cutoff,
-                              f"PAC alpha={alpha:.3g}")
+    return _state_from_vector(cutoff, *_member_vector("pac", alpha, cutoff))
 
 
 def make_squeezed(r: float, cutoff: int) -> TruncatedState:
     """Squeezed vacuum S(r)|0>."""
-    return _state_from_vector(displaced_squeezed_vector(0.0, r, cutoff),
-                              cutoff, f"squeezed vacuum r={r:.3g}")
+    return _state_from_vector(cutoff, displaced_squeezed_vector(0.0, r, cutoff),
+                              f"squeezed vacuum r={r:.3g}")
 
 
 def make_pss(r: float, cutoff: int) -> TruncatedState:
     """Photon-subtracted squeezed state, normalized a S(r)|0> = sinh r S(r)|1>."""
     if r < 0:
         raise ValueError("r must be >= 0")
-    return _state_from_vector(_family_vector("pss", r, cutoff), cutoff,
-                              f"PSS r={r:.3g}")
+    return _state_from_vector(cutoff, *_member_vector("pss", r, cutoff))
 
 
 def _family_ladder(kind: str, param: float, beta: complex, q: float):
@@ -232,8 +245,8 @@ def _family_vector(kind: str, param: float, cutoff: int,
 
 def make_displaced_squeezed(beta: complex, q: float, cutoff: int) -> TruncatedState:
     """Pure Gaussian state D(beta) S(q) |0> on the truncated basis."""
-    return _state_from_vector(displaced_squeezed_vector(beta, q, cutoff),
-                              cutoff, f"beta={beta}, q={q}")
+    return _state_from_vector(cutoff, displaced_squeezed_vector(beta, q, cutoff),
+                              f"beta={beta}, q={q}")
 
 
 def displaced_squeezed_vector(beta: complex, q: float, cutoff: int) -> np.ndarray:

@@ -30,18 +30,6 @@ S_MIN = -1e6
 
 
 @dataclass(frozen=True)
-class SParam:
-    """Ordering parameter of the quasiprobability family, S_MIN <= s <= 0."""
-
-    s: float
-
-    def __post_init__(self):
-        if not S_MIN <= self.s <= 0:  # NaN fails this too
-            raise ValueError(f"ordering parameter must be in [{S_MIN:g}, 0], "
-                             f"got {self.s}")
-
-
-@dataclass(frozen=True)
 class PureGaussianParam:
     """Pure Gaussian state by mean photon number and squeezing split.
 
@@ -61,7 +49,11 @@ class PureGaussianParam:
 
 
 def _coerce_s(s) -> float:
-    return s.s if isinstance(s, SParam) else float(SParam(float(s)).s)
+    """The ordering parameter as a float, once S_MIN <= s <= 0."""
+    sv = float(s)
+    if not S_MIN <= sv <= 0:  # NaN fails this too
+        raise ValueError(f"ordering parameter must be in [{S_MIN:g}, 0], got {sv}")
+    return sv
 
 
 def qs_fock(m: int, s) -> float:
@@ -72,17 +64,15 @@ def qs_fock(m: int, s) -> float:
     return 2.0 / (np.pi * (1.0 - sv)) * (-1.0) ** m * ((1.0 + sv) / (1.0 - sv)) ** m
 
 
-def _origin_series(p: np.ndarray, sv: float, epsilon=0.0):
-    """Origin value 2/(pi(1-s)) sum_m x^m p_m of photon numbers p after pure
-    loss epsilon, x = eps - (1-eps)(1+s)/(1-s) (from G(z) -> G(eps + (1-eps) z)),
-    and its truncation tail: the mass 1 - sum p past the last level moves the
-    value by at most (1 - sum p) |x|^len(p) 2/(pi(1-s)), as |x| <= 1 for s <= 0.
-    Floats for a float epsilon, arrays for an array of losses."""
-    x = np.asarray(epsilon - (1.0 - epsilon) * (1.0 + sv) / (1.0 - sv))
+def _origin_series(p: np.ndarray, sv: float) -> tuple[float, float]:
+    """Origin value 2/(pi(1-s)) sum_m x^m p_m of photon numbers p, with
+    x = -(1+s)/(1-s), and its truncation tail (1 - sum p) 2/(pi(1-s)): as
+    |x| <= 1 for s <= 0, the missing mass moves the value by no more than
+    that wherever it sits, past the last level or (lost before a channel)
+    at low levels: qs_origin_error's bound, with the mass read from p."""
     scale = 2.0 / (np.pi * (1.0 - sv))
-    values = scale * (x[..., None] ** np.arange(p.size) @ p)
-    tails = scale * max(0.0, 1.0 - float(p.sum())) * np.abs(x) ** p.size
-    return (values, tails) if values.ndim else (float(values), float(tails))
+    value = scale * float((-(1.0 + sv) / (1.0 - sv)) ** np.arange(p.size) @ p)
+    return value, scale * max(0.0, 1.0 - float(p.sum()))
 
 
 def qs_origin(state: TruncatedState, s) -> float:

@@ -21,17 +21,18 @@ With no map (criterion a, and the identity seed of every Fock state) U' is
 the identity and s2 = -(eps - s)/eta, on an array of losses too: for |m> the
 value is 2/(pi(1-s)) x^m, x = eps - eta (1+s)/(1-s), and at full loss every
 state is the vacuum, 2/(pi(1-s)). n_bar comes from the closed moments
-(StateFamily.moments). StateFamily.build(cutoff) runs once per public call,
-only to refuse a family member that does not fit the cutoff.
+(StateFamily.moments). A public call's cutoff only refuses what
+StateFamily.build(cutoff) refuses, from the member's amplitudes alone.
 
 Photon numbers serve only a caller's state (delta_a, delta_b): the origin
-series of quasiprob._origin_series, with its truncation tail, the most the
-levels past the cutoff could add. nbar_slack is the caller's allowance for
-the mean photon number that a truncated state leaves out; the tail mass does
-not bound it.
+series of quasiprob._origin_series, with its truncation tail
+(1 - sum p) 2/(pi(1-s)), the most the missing mass can move the value
+wherever it sits. nbar_slack, which only delta_a and delta_b take, is the
+caller's allowance for the mean photon number that a truncated state leaves
+out; the tail mass does not bound it.
 
-The public functions check their inputs once, before a family state is
-built, and the evaluators under them take checked floats. A threshold's scan
+The public functions check their inputs once, before the cutoff is guarded,
+and the evaluators under them take checked floats. A threshold's scan
 and bisection run through one evaluator, which takes the whole scan grid as
 one array when every scan point is criterion a. Every verdict is _report's:
 delta + tail < 0, where tail is 0 for a closed form, so truncation never
@@ -49,8 +50,8 @@ import numpy as np
 
 from .bounds import _fminbound, pure_bound
 from .fock import (ChannelSpec, GaussianMapSpec, TruncatedState, TruncationError,
-                   make_fock, make_pac, make_pss, mapped_photon_probs,
-                   photon_probs)
+                   _member_vector, _state_from_vector, _vector_tail,
+                   mapped_photon_probs, photon_probs)
 from .quasiprob import _coerce_s, _family_origin, _origin_series
 
 SCAN_POINTS = 200  # loss grid of the threshold scan
@@ -84,11 +85,11 @@ class StateFamily:
             raise ValueError(f"{name} must be an integer, got {self.param}")
 
     def build(self, cutoff: int) -> TruncatedState:
-        if self.kind == "fock":
-            return make_fock(int(self.param), cutoff)
-        if self.kind == "pac":
-            return make_pac(self.param, cutoff)
-        return make_pss(self.param, cutoff)
+        return _state_from_vector(cutoff, *self._amplitudes(cutoff))
+
+    def _amplitudes(self, cutoff: int) -> tuple[np.ndarray, str]:
+        param = int(self.param) if self.kind == "fock" else self.param
+        return _member_vector(self.kind, param, cutoff)
 
     def moments(self) -> tuple[float, complex, complex]:
         """Closed-form (mean photon number, <a>, <a^2>), with no cutoff."""
@@ -101,6 +102,12 @@ class StateFamily:
             return ((3.0 * math.cosh(2.0 * p) - 1.0) / 2.0, 0j,
                     complex(1.5 * math.sinh(2.0 * p)))
         return float(p), 0j, 0j
+
+
+def _guard(family: StateFamily, cutoff: int) -> None:
+    """Refuse what family.build(cutoff) refuses, with the same exception and
+    message: the same amplitudes and checks, with no density matrix."""
+    _vector_tail(cutoff, *family._amplitudes(cutoff))
 
 
 @dataclass(frozen=True)
@@ -129,18 +136,18 @@ def _photon_witness(p, s, nbar_slack: float,
                     gmap: GaussianMapSpec | None = None) -> WitnessReport:
     """First-criterion witness of the photon numbers p of a caller's state,
     with the truncation tail of its origin series."""
-    sv = _checked(s, "a", nbar_slack)
+    if not (math.isfinite(nbar_slack) and nbar_slack >= 0):
+        raise ValueError(f"nbar_slack must be finite and >= 0, got {nbar_slack}")
+    sv = _coerce_s(s)
     q_value, tail = _origin_series(p, sv)
     nbar = float(np.dot(np.arange(p.size), p)) + nbar_slack
     return _report(sv, q_value, nbar, tail, gmap)
 
 
-def _checked(s, criterion: str, nbar_slack: float) -> float:
-    """The ordering s as a float, once s, criterion and nbar_slack are valid."""
+def _checked(s, criterion: str) -> float:
+    """The ordering s as a float, once s and criterion are valid."""
     if criterion not in ("a", "b"):
         raise ValueError(f"criterion must be 'a' or 'b', got {criterion!r}")
-    if not (math.isfinite(nbar_slack) and nbar_slack >= 0):
-        raise ValueError(f"nbar_slack must be finite and >= 0, got {nbar_slack}")
     return _coerce_s(s)
 
 
@@ -164,15 +171,15 @@ def delta_b(state: TruncatedState, s, gmap: GaussianMapSpec,
 
 def beta_opt(alpha: float, epsilon: float) -> complex:
     """Approximate optimal re-centering displacement for a lossy PAC state."""
-    if alpha < 0:
-        raise ValueError("alpha must be >= 0")
+    if not alpha >= 0:  # NaN fails this too
+        raise ValueError(f"alpha must be >= 0, got {alpha}")
     return complex(-alpha * np.sqrt(1.0 - epsilon))
 
 
 def q_opt(r: float, epsilon: float) -> float:
     """Analytic squeezing that minimizes the photon number of a lossy PSS state."""
-    if r < 0 or not 0.0 <= epsilon <= 1.0:
-        raise ValueError("need r >= 0 and epsilon in [0, 1]")
+    if not (r >= 0 and 0.0 <= epsilon <= 1.0):  # NaN fails this too
+        raise ValueError(f"need r >= 0 and epsilon in [0, 1], got {r}, {epsilon}")
     mu_r2 = np.cosh(r) ** 2
     disc = (4.0 * epsilon - 3.0) ** 2 + 12.0 * (1.0 - epsilon) * epsilon * mu_r2
     mu = np.sqrt(0.5 * (1.0 + (6.0 * (1.0 - epsilon) * mu_r2 + 4.0 * epsilon - 3.0)
@@ -225,8 +232,7 @@ def _seed_map(family: StateFamily, epsilon: float) -> GaussianMapSpec:
     return GaussianMapSpec()
 
 
-def _lossy_witness(family: StateFamily, eps: float, sv: float,
-                   nbar_slack: float):
+def _lossy_witness(family: StateFamily, eps: float, sv: float):
     """Second-criterion witness of a PAC or PSS state after checked loss eps,
     as a cached function of the map (the identity of the module docstring)."""
     eta = 1.0 - eps
@@ -249,12 +255,12 @@ def _lossy_witness(family: StateFamily, eps: float, sv: float,
         shift = beta.conjugate() * (mu * a1 + nu * a1.conjugate())
         nbar = (eta * (math.cosh(2.0 * q) * n0 + math.sinh(2.0 * q) * a2.real)
                 + nu * nu + abs(beta) ** 2 + 2.0 * math.sqrt(eta) * shift.real)
-        return _report(sv, q_value, nbar + nbar_slack, 0.0, gmap)
+        return _report(sv, q_value, nbar, 0.0, gmap)
 
     return witness
 
 
-def _unmapped_witness(family: StateFamily, eps, sv: float, nbar_slack: float,
+def _unmapped_witness(family: StateFamily, eps, sv: float,
                       gmap: GaussianMapSpec | None = None) -> WitnessReport:
     """Witness of a family member after checked loss eps (a float, or an array
     of losses) with no map: the identity case of _lossy_witness, where
@@ -275,56 +281,52 @@ def _unmapped_witness(family: StateFamily, eps, sv: float, nbar_slack: float,
     else:
         q_value = _family_origin(family.kind, family.param, 0j, 0.0,
                                  -(eps - sv) / eta) / eta
-    nbar = eta * family.moments()[0] + nbar_slack
-    return _report(sv, q_value, nbar, 0.0, gmap)
+    return _report(sv, q_value, eta * family.moments()[0], 0.0, gmap)
 
 
-def _witness(family: StateFamily, sv: float, eps, criterion: str,
-             nbar_slack: float) -> WitnessReport:
+def _witness(family: StateFamily, sv: float, eps, criterion: str) -> WitnessReport:
     """Witness of a family member after loss eps, all inputs checked;
     criterion a also takes an array of losses."""
     seed = _seed_map(family, eps) if criterion == "b" else None
     if seed is None or seed.is_identity:
-        return _unmapped_witness(family, eps, sv, nbar_slack, seed)
-    witness = _lossy_witness(family, eps, sv, nbar_slack)
+        return _unmapped_witness(family, eps, sv, seed)
+    witness = _lossy_witness(family, eps, sv)
     return witness(_refine(witness, seed))
 
 
 def witness_at_loss(family: StateFamily, s, epsilon: float, criterion: str,
-                    cutoff: int = 80, nbar_slack: float = 0.0) -> WitnessReport:
+                    cutoff: int = 80) -> WitnessReport:
     """Witness value of a family member after loss, map-optimized for 'b'.
 
-    The value is a closed form; the family member is built at cutoff only to
-    refuse (TruncationError) one that does not fit."""
-    sv, eps = _checked(s, criterion, nbar_slack), ChannelSpec(epsilon).epsilon
-    family.build(cutoff)
-    return _witness(family, sv, eps, criterion, nbar_slack)
+    The value is a closed form; cutoff only refuses (TruncationError) a
+    family member that does not fit it, as family.build(cutoff) would."""
+    sv, eps = _checked(s, criterion), ChannelSpec(epsilon).epsilon
+    _guard(family, cutoff)
+    return _witness(family, sv, eps, criterion)
 
 
 def witness_curve(family: StateFamily, s_values, eps_values, criterion: str,
-                  cutoff: int = 80, nbar_slack: float = 0.0) -> np.ndarray:
+                  cutoff: int = 80) -> np.ndarray:
     """Deltas of witness_at_loss at every (eps_values[i], s_values[j]), as an
-    array indexed [i, j], with the inputs checked and the family built once.
+    array indexed [i, j], with the inputs checked and the cutoff guarded once.
 
     Criterion a takes the loss grid as one array per s; criterion b refines
     a map at each point."""
-    s_checked = [_checked(s, criterion, nbar_slack) for s in s_values]
+    s_checked = [_checked(s, criterion) for s in s_values]
     eps = [ChannelSpec(e).epsilon for e in eps_values]
-    family.build(cutoff)
+    _guard(family, cutoff)
     deltas = np.empty((len(eps), len(s_checked)))
     for j, sv in enumerate(s_checked):
         if criterion == "a":
-            deltas[:, j] = _witness(family, sv, np.array(eps, dtype=float), "a",
-                                    nbar_slack).delta
+            deltas[:, j] = _witness(family, sv, np.array(eps, dtype=float),
+                                    "a").delta
         else:
-            deltas[:, j] = [_witness(family, sv, e, "b", nbar_slack).delta
-                            for e in eps]
+            deltas[:, j] = [_witness(family, sv, e, "b").delta for e in eps]
     return deltas
 
 
 def epsilon_threshold(family: StateFamily, s, criterion: str = "a",
-                      tol: float = 1e-5, cutoff: int = 80,
-                      nbar_slack: float = 0.0) -> ThresholdResult:
+                      tol: float = 1e-5, cutoff: int = 80) -> ThresholdResult:
     """Largest loss at which the witness stays conclusive.
 
     Returns sentinel "one" when still conclusive at epsilon = 1 - tol and
@@ -334,17 +336,17 @@ def epsilon_threshold(family: StateFamily, s, criterion: str = "a",
     the topmost sign change. Where every scan point is criterion a (criterion
     a, or identity seeds), the scan is one array evaluation.
     """
-    sv = _checked(s, criterion, nbar_slack)
+    sv = _checked(s, criterion)
     # above 0.5 the grid tol..1-tol would run from high loss to low loss
     if not 1e-6 <= tol <= 0.5:  # NaN fails this too
         raise ValueError(f"tol must be in [1e-6, 0.5], got {tol}")
-    family.build(cutoff)  # refuses a family member that does not fit
+    _guard(family, cutoff)
     grid = np.linspace(tol, 1.0 - tol, SCAN_POINTS)
     batch = criterion == "a" or all(_seed_map(family, e).is_identity for e in grid)
     scan_criterion = "a" if batch else criterion
 
     def holds(eps):
-        return _witness(family, sv, eps, scan_criterion, nbar_slack).conclusive
+        return _witness(family, sv, eps, scan_criterion).conclusive
 
     # conclusive or not at each scan point, from the top down
     conclusive = iter(holds(grid[::-1])) if batch else map(holds, grid[::-1])

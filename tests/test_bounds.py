@@ -43,6 +43,14 @@ def test_bound_at_zero_is_the_vacuum_origin_value(s):
     assert (bound[0], bound[2]) == (vacuum, vacuum)
 
 
+@pytest.mark.parametrize("closed", [wigner_bound_closed, m_minus1_closed])
+@pytest.mark.parametrize("n", [np.nan, np.inf, -1.0])
+def test_closed_forms_reject_bad_n(closed, n):
+    # NaN and infinite n used to come back as nan, where pure_bound raises
+    with pytest.raises(ValueError, match="n must be finite and >= 0"):
+        closed(n)
+
+
 def test_wigner_bound_closed_values():
     assert wigner_bound_closed(0) == pytest.approx(2 / np.pi, rel=1e-15)
     assert wigner_bound_closed(1) == pytest.approx(2 / np.pi * np.exp(-4),
@@ -152,6 +160,16 @@ class TestConvexity:
     def test_bad_step_rejected(self):
         with pytest.raises(ValueError):
             convexity_check(-1, 10, 0)
+
+    @pytest.mark.parametrize("n_max,step,name", [
+        (np.nan, 0.1, "n_max"), (np.inf, 0.1, "n_max"), (-1.0, 0.1, "n_max"),
+        (10.0, np.nan, "step"), (10.0, np.inf, "step"), (10.0, -0.1, "step")])
+    def test_bad_grid_named_as_in_bound_curve(self, n_max, step, name):
+        # NaN used to reach numpy's arange, and an infinite n_max was
+        # reported as a grid-size error
+        for table in (convexity_check, build_bound_curve):
+            with pytest.raises(ValueError, match=rf"^{name} must be finite"):
+                table(-1, n_max, step)
 
 
 class TestBoundCurve:

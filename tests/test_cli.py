@@ -1,10 +1,12 @@
 import argparse
+import hashlib
 import inspect
 
 import numpy as np
 import pytest
 
 import qng.error_model
+import qng.witness
 from qng.cli import MAX_CUTOFF, build_parser, main
 from qng.quasiprob import S_MIN
 from qng.witness import StateFamily, witness_at_loss
@@ -97,10 +99,10 @@ class TestThreshold:
     def test_cutoff_above_ceiling_rejected(self, monkeypatch, capsys, argv,
                                            env):
         # a huge cutoff used to be killed from outside instead of exiting 3
-        def no_build(self, cutoff):
-            raise AssertionError(f"state built at cutoff {cutoff}")
+        def no_guard(family, cutoff):
+            raise AssertionError(f"family guarded at cutoff {cutoff}")
 
-        monkeypatch.setattr(StateFamily, "build", no_build)
+        monkeypatch.setattr(qng.witness, "_guard", no_guard)
         if env is not None:
             monkeypatch.setenv("QNG_DEFAULT_CUTOFF", env)
         assert main(["threshold", "--family", "fock", "--m", "1", "--s", "0",
@@ -166,23 +168,23 @@ class TestWitnessCurve:
         ("fock", "--m", "3", "a"), ("pac", "--alpha", "2", "a"),
         ("pss", "--r", "1.0", "a"), ("fock", "--m", "2", "b"),
         ("pac", "--alpha", "2", "b"), ("pss", "--r", "0.5", "b")])
-    def test_builds_once_and_rows_match_witness_at_loss(
+    def test_guards_once_and_rows_match_witness_at_loss(
             self, monkeypatch, capsys, family, flag, value, criterion):
-        builds = []
-        build = StateFamily.build
+        guarded = []
+        guard = qng.witness._guard
 
-        def counted_build(self, cutoff):
-            builds.append(cutoff)
-            return build(self, cutoff)
+        def counted_guard(family, cutoff):
+            guarded.append(cutoff)
+            return guard(family, cutoff)
 
-        monkeypatch.setattr(StateFamily, "build", counted_build)
+        monkeypatch.setattr(qng.witness, "_guard", counted_guard)
         code, out = run_cli(["witness-curve", "--family", family, flag, value,
                              "--s", "0,-1,-2.5", "--eps", "0..1",
                              "--eps-step", "0.125", "--criterion", criterion],
                             capsys)
         monkeypatch.undo()
         assert code == 0
-        assert builds == [80]
+        assert guarded == [80]
         rows = [line.split(",") for line in out.strip().split("\n")[1:]]
         assert [(float(e), float(s)) for e, s, _ in rows] == [
             (k / 8, s) for k in range(9) for s in (0.0, -1.0, -2.5)]
@@ -248,12 +250,14 @@ def test_bad_range_rejected(args, capsys):
     assert out == ""
 
 
-@pytest.mark.parametrize("value", ["-0.6", "nan", "inf"])
-def test_nbar_slack_must_be_finite_nonnegative(value, capsys):
-    # a negative slack would lower n_bar and make verdicts less conservative
-    assert main(["witness-curve", "--family", "fock", "--m", "2", "--s", "0",
-                 "--eps", "0.3", "--nbar-slack", value]) == 2
-    assert "--nbar-slack" in capsys.readouterr().err
+@pytest.mark.parametrize("command", [
+    ["witness-curve", "--eps", "0.3"], ["threshold"]])
+def test_nbar_slack_is_not_a_flag(command, capsys):
+    # family witnesses are closed forms with exact moments: no mean photon
+    # number is left out, so there is no slack to allow for
+    assert main([*command, "--family", "fock", "--m", "2", "--s", "0",
+                 "--nbar-slack", "0"]) == 2
+    assert "unrecognized arguments: --nbar-slack" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag,value,criterion", [
@@ -352,10 +356,10 @@ class TestErrorBars:
 
 
 def test_out_of_memory_is_numerical_failure(monkeypatch, capsys):
-    def no_memory(self, cutoff):
+    def no_memory(family, cutoff):
         raise MemoryError(f"Unable to allocate the cutoff {cutoff} state")
 
-    monkeypatch.setattr(StateFamily, "build", no_memory)
+    monkeypatch.setattr(qng.witness, "_guard", no_memory)
     code = main(["threshold", "--family", "fock", "--m", "1", "--s", "0",
                  "--cutoff", str(MAX_CUTOFF)])
     captured = capsys.readouterr()
@@ -363,6 +367,27 @@ def test_out_of_memory_is_numerical_failure(monkeypatch, capsys):
     assert captured.out == ""
     assert captured.err == ("numerical failure: Unable to allocate the cutoff "
                             f"{MAX_CUTOFF} state\n")
+
+
+README_COMMANDS = {  # sha256 of each README CLI command's CSV (x86-64, numpy 2.4)
+    "bound-curve --s -1 --n-max 5 --step 0.1":
+        "444ff34ffd9f590a0ab1d7d6ca72378a4b4cedd23804af9405fd26e6d17d2a6a",
+    "threshold --family fock --m 1..5 --s 0,-0.5,-1,-2 --criterion a":
+        "6275b6bfa6d6f537e7e02e764f1f9801552a5fd6d2039503859473999c2e5fe1",
+    "witness-curve --family pac --alpha 2 --s -1 --eps 0..0.99 --eps-step 0.01":
+        "1071d6eb9b1d6f4342822687aae24ed05411748e7b9d36323804c2b5dba6b710",
+    "error-bars --s 0,-1 --n-avg 0..2 --step 0.25 --k 100":
+        "8bdbb0ca7805b47396595f32a6a8d27e26897c83d681f05462ab817e0a8ac47c",
+}
+
+
+@pytest.mark.parametrize("command", README_COMMANDS)
+def test_readme_commands_print_the_recorded_csv(command, capsys):
+    # the default CSV is part of the public surface: a change that moves a
+    # byte of it must say so and record the new digest
+    code, out = run_cli(command.split(), capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == README_COMMANDS[command]
 
 
 def test_deterministic_output(capsys):
@@ -401,8 +426,8 @@ def test_default_cutoff_env_below_one(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["--cutoff", "0"], ["--cutoff", "1000000000"], ["--nbar-slack", "-1"],
-    ["--bogus"]], ids=["cutoff-0", "cutoff-huge", "slack", "unknown"])
+    ["--cutoff", "0"], ["--cutoff", "1000000000"], ["--tol", "x"],
+    ["--bogus"]], ids=["cutoff-0", "cutoff-huge", "tol", "unknown"])
 def test_flag_error_is_one_line(capsys, argv):
     # argparse used to print the usage lines and raise SystemExit
     code = main(["threshold", "--family", "fock", "--m", "1", "--s", "0", *argv])

@@ -8,24 +8,24 @@ from qng.fock import (ChannelSpec, GaussianMapSpec, apply_loss, apply_map,
                       make_coherent, make_displaced_squeezed, make_fock, make_pac,
                       make_pss)
 from qng.bounds import pure_bound
-from qng.quasiprob import (S_MIN, PureGaussianParam, SParam, qs_at, qs_fock,
-                           qs_origin, qs_origin_error, qs_pure_gaussian)
+from qng.quasiprob import (S_MIN, PureGaussianParam, qs_at, qs_fock, qs_origin,
+                           qs_origin_error, qs_pure_gaussian)
 from qng.witness import StateFamily, delta_a, witness_at_loss
 
 S_VALUES = [0.0, -0.25, -0.5, -1.0, -2.0, -3.0]
 
 
-def test_sparam_rejects_positive():
-    with pytest.raises(ValueError):
-        SParam(0.5)
+def test_ordering_rejects_positive():
+    with pytest.raises(ValueError, match=r"ordering parameter .* got 0.5"):
+        qs_fock(0, 0.5)
 
 
-def test_sparam_floor():
+def test_ordering_floor():
     # at the floor the origin formulas stay finite; just past it s is refused
-    assert SParam(S_MIN).s == S_MIN
+    assert qs_fock(0, S_MIN) == 2 / (np.pi * (1 - S_MIN))
     for s in [np.nextafter(S_MIN, -np.inf), -1e200, -np.inf, np.nan]:
         with pytest.raises(ValueError, match="ordering parameter"):
-            SParam(s)
+            qs_fock(0, s)
     for family in [StateFamily("pac", 2.0), StateFamily("pss", 0.5)]:
         for eps in [0.0, 0.5, 1.0 - 2.0**-53]:
             rep = witness_at_loss(family, S_MIN, eps, "b")

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from qng.fock import (ChannelSpec, GaussianMapSpec, TruncatedState,
                       TruncationError, _family_vector, apply_loss, apply_map,
                       make_coherent, make_fock, make_pac, make_pss,
                       mapped_photon_probs, mix, moments)
-from qng.quasiprob import _family_origin, _origin_series
+from qng.quasiprob import _family_origin, _origin_series, qs_origin_error
 from qng.witness import (StateFamily, _lossy_witness, _refine, beta_opt, delta_a,
                          delta_b, epsilon_threshold, q_opt, refine_map,
                          witness_at_loss, witness_curve)
@@ -74,14 +75,14 @@ FAMILIES = [StateFamily("fock", 3), StateFamily("pac", 2.0),
             StateFamily("pss", 0.45)]
 
 
-def assert_matches_lossy_matrix(family, s, eps, nbar_slack):
+def assert_matches_lossy_matrix(family, s, eps):
     # the lossy density matrix is the oracle of the closed form; it is built
     # at twice the cutoff, because the witness's n_bar is the closed-form
     # mean and at cutoff 80 the matrix drops up to 2.7e-12 of it (PSS
     # r = 0.8); a closed form has no truncation tail to count
-    fast = witness_at_loss(family, s, eps, "a", nbar_slack=nbar_slack)
+    fast = witness_at_loss(family, s, eps, "a")
     lossy = apply_loss(family.build(160), ChannelSpec(eps))
-    oracle = delta_a(lossy, s, nbar_slack=nbar_slack)
+    oracle = delta_a(lossy, s)
     assert abs(fast.delta - oracle.delta) <= 1e-12
     assert abs(fast.q_value - oracle.q_value) <= 1e-12
     assert abs(fast.n_bar - oracle.n_bar) <= 1e-12
@@ -93,21 +94,16 @@ class TestCriterionAFromPhotonNumbers:
     @pytest.mark.parametrize("s", [0, -0.25, -1, -2, -3])
     @pytest.mark.parametrize("eps", [0, 0.1, 0.5, 0.9, 1])
     def test_matches_lossy_matrix(self, family, s, eps):
-        assert_matches_lossy_matrix(family, s, eps, 0.0)
-
-    @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.kind)
-    def test_matches_lossy_matrix_with_nbar_slack(self, family):
-        assert_matches_lossy_matrix(family, -1, 0.3, 0.25)
+        assert_matches_lossy_matrix(family, s, eps)
 
     @settings(max_examples=40, deadline=None)
     @given(family=hst.one_of(
                hst.builds(StateFamily, hst.just("fock"), hst.integers(0, 8)),
                hst.builds(StateFamily, hst.just("pac"), hst.floats(0, 3)),
                hst.builds(StateFamily, hst.just("pss"), hst.floats(0, 0.8))),
-           s=hst.floats(-3, 0), eps=hst.floats(0, 1),
-           nbar_slack=hst.floats(0, 1))
-    def test_matches_lossy_matrix_property(self, family, s, eps, nbar_slack):
-        assert_matches_lossy_matrix(family, s, eps, nbar_slack)
+           s=hst.floats(-3, 0), eps=hst.floats(0, 1))
+    def test_matches_lossy_matrix_property(self, family, s, eps):
+        assert_matches_lossy_matrix(family, s, eps)
 
     @pytest.mark.parametrize("family,criterion,lossy_matrix", [
         pytest.param(StateFamily("fock", 2), "a", False, id="a"),
@@ -116,19 +112,19 @@ class TestCriterionAFromPhotonNumbers:
         # PSS maps are evaluated in closed form
         pytest.param(StateFamily("pss", 0.5), "b", False, id="b-pss"),
     ])
-    def test_threshold_builds_once(self, monkeypatch, loss_calls, family,
-                                   criterion, lossy_matrix):
-        builds = []
-        build = StateFamily.build
+    def test_threshold_guards_cutoff_once(self, monkeypatch, loss_calls, family,
+                                          criterion, lossy_matrix):
+        guarded = []
+        guard = qng.witness._guard
 
-        def counted_build(self, cutoff):
-            builds.append(cutoff)
-            return build(self, cutoff)
+        def counted_guard(family, cutoff):
+            guarded.append(cutoff)
+            return guard(family, cutoff)
 
-        monkeypatch.setattr(StateFamily, "build", counted_build)
+        monkeypatch.setattr(qng.witness, "_guard", counted_guard)
         res = epsilon_threshold(family, 0, criterion, tol=1e-3)
         assert isinstance(res.epsilon_star, float)  # a scan and a bisection
-        assert builds == [80]
+        assert guarded == [80]
         assert bool(loss_calls) == lossy_matrix
 
     @pytest.mark.parametrize("criterion", ["a", "b"])
@@ -191,8 +187,10 @@ class TestFamilyClosedForm:
         eps_grid = np.array(CLOSED_FORM_EPS)
         for s in CLOSED_FORM_S:
             sv = float(s)
-            scan = qng.witness._witness(family, sv, eps_grid, "a", 0.0)
-            series = _origin_series(p160, sv, eps_grid)[0]
+            scan = qng.witness._witness(family, sv, eps_grid, "a")
+            x = eps_grid - (1 - eps_grid) * (1 + sv) / (1 - sv)
+            series = 2 / (np.pi * (1 - sv)) * (
+                x[:, None] ** np.arange(p160.size) @ p160)
             for i, eps in enumerate(CLOSED_FORM_EPS):
                 rep = witness_at_loss(family, s, eps, "a")
                 eps_mp, s_mp = mp.mpf(eps), mp.mpf(sv)
@@ -215,7 +213,7 @@ class TestFamilyClosedForm:
     @pytest.mark.parametrize("s", [0, -1, -3])
     @pytest.mark.parametrize("eps", [0, 0.3, 0.999])
     def test_is_the_identity_map_of_the_lossy_witness(self, family, s, eps):
-        rep = witness_at_loss(family, s, eps, "a", nbar_slack=0.1)
+        rep = witness_at_loss(family, s, eps, "a")
         mapped = lossy_family(family, s, eps)(GaussianMapSpec())
         assert (rep.q_value, rep.n_bar, rep.delta) == (
             mapped.q_value, mapped.n_bar, mapped.delta)
@@ -225,14 +223,13 @@ class TestFamilyClosedForm:
                              ids=lambda f: f.kind)
     @pytest.mark.parametrize("s", [0, -2])
     def test_full_loss_leaves_the_vacuum(self, family, s):
-        vacuum = witness_at_loss(StateFamily("fock", 0), s, 1.0, "a",
-                                 nbar_slack=0.2)
+        vacuum = witness_at_loss(StateFamily("fock", 0), s, 1.0, "a")
         for criterion in "ab":
-            rep = witness_at_loss(family, s, 1.0, criterion, nbar_slack=0.2)
+            rep = witness_at_loss(family, s, 1.0, criterion)
             assert (rep.q_value, rep.n_bar, rep.delta) == (
                 vacuum.q_value, vacuum.n_bar, vacuum.delta)
         scan = qng.witness._witness(family, float(s), np.array([0.5, 1.0]),
-                                    "a", 0.2)
+                                    "a")
         assert (scan.q_value[1], scan.n_bar[1]) == (vacuum.q_value,
                                                     vacuum.n_bar)
 
@@ -263,6 +260,45 @@ class TestFamilyClosedForm:
                 epsilon_threshold(family, -1, criterion, cutoff=5)
             with pytest.raises(TruncationError):
                 witness_curve(family, [-1], [0.5], criterion, cutoff=5)
+
+    @pytest.mark.parametrize("family", [
+        *(StateFamily("fock", m) for m in (0, 1, 5, 80, 81, 200, 201)),
+        *(StateFamily("pac", a) for a in (0.0, 0.5, 2.0, 6.0, 10.0, 13.0)),
+        # r = 400 cancels in floating point: a kept norm above 1
+        *(StateFamily("pss", r) for r in (0.0, 1.0, 2.0, 3.0, 100.0, 400.0))],
+        ids=lambda f: f"{f.kind}{f.param}")
+    def test_guard_refuses_what_build_refuses(self, family):
+        # the guard reads the amplitudes that build squares into a matrix:
+        # at every cutoff both pass, or both raise the same error
+        def outcome(call, cutoff):
+            try:
+                call(cutoff)
+            except (TruncationError, ValueError) as exc:
+                return type(exc), str(exc)
+            return None
+
+        cutoffs = range(201)
+        built = [outcome(family.build, c) for c in cutoffs]
+        assert built[0] is not None  # no family member fits cutoff 0
+        assert [outcome(partial(qng.witness._guard, family), c)
+                for c in cutoffs] == built
+
+    def test_entry_points_build_no_state(self, monkeypatch):
+        def refused(*args):
+            raise AssertionError("a family entry point built a state")
+
+        monkeypatch.setattr(qng.fock, "_trusted_state", refused)
+        monkeypatch.setattr(TruncatedState, "__post_init__", refused)
+        for family in (StateFamily("fock", 3), StateFamily("pac", 2.0),
+                       StateFamily("pss", 0.5)):
+            for criterion in "ab":
+                epsilon_threshold(family, -1, criterion, tol=1e-3)
+                witness_at_loss(family, -1, 0.5, criterion)
+                witness_curve(family, [0, -1], [0, 0.5, 1], criterion)
+        with pytest.raises(TruncationError):  # the guard still refuses
+            witness_at_loss(StateFamily("pac", 2.0), -1, 0.5, "a", cutoff=5)
+        with pytest.raises(AssertionError, match="built a state"):
+            StateFamily("pac", 2.0).build(80)  # the patches are live
 
 
 class TestClosedMoments:
@@ -358,11 +394,11 @@ class TestCriterionBFromPhotonNumbers:
     @pytest.mark.parametrize("family", [StateFamily("pac", 2.0),
                                         StateFamily("pss", 0.5)],
                              ids=lambda f: f.kind)
-    def test_witness_at_loss_builds_family_state_only(self, family,
-                                                      states_built):
+    def test_witness_at_loss_builds_no_state(self, family, states_built):
+        # the cutoff guard reads the family's amplitudes, with no state
         rep = witness_at_loss(family, -1, 0.6, "b")
         assert not rep.map.is_identity
-        assert states_built == [80]
+        assert states_built == []
 
     @pytest.mark.parametrize("family", [StateFamily("pac", 2.0),
                                         StateFamily("pss", 0.5)],
@@ -373,13 +409,13 @@ class TestCriterionBFromPhotonNumbers:
         assert eigvalsh_calls == []
 
 
-def lossy_family(family, s, eps, nbar_slack=0.1):
-    return _lossy_witness(family, eps, float(s), nbar_slack)
+def lossy_family(family, s, eps):
+    return _lossy_witness(family, eps, float(s))
 
 
-def direct_oracle(family, s, eps, gmap, nbar_slack=0.1, cutoff=80):
+def direct_oracle(family, s, eps, gmap, cutoff=80):
     lossy = apply_loss(family.build(cutoff), ChannelSpec(eps))
-    return delta_b(lossy, s, gmap, nbar_slack)
+    return delta_b(lossy, s, gmap)
 
 
 EXACT_BASE = LOSSY_MAPPED[:3]  # cutoff 80 holds these states to roundoff
@@ -416,9 +452,8 @@ class TestCriterionBFromLosslessVector:
                hst.builds(StateFamily, hst.just("pss"), hst.floats(0, 0.5))),
            s=hst.floats(-3, 0), eps=hst.floats(0, 0.999),
            re=hst.floats(-1.5, 1.5), im=hst.floats(-1.5, 1.5),
-           q=hst.floats(-1, 1), nbar_slack=hst.floats(0, 1))
-    def test_matches_lossy_matrix_property(self, family, s, eps, re, im, q,
-                                           nbar_slack):
+           q=hst.floats(-1, 1))
+    def test_matches_lossy_matrix_property(self, family, s, eps, re, im, q):
         # the closed form drops nothing; the oracle drops what its mapped
         # state puts past the cutoff, which moves an origin value by at most
         # 2/(pi(1-s)) times it, and by no more than the truncation tail of
@@ -433,13 +468,13 @@ class TestCriterionBFromLosslessVector:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(qng.witness, "_family_origin", counted)
-            view = lossy_family(family, s, eps, nbar_slack)
+            view = lossy_family(family, s, eps)
             fast = view(gmap)
             view(gmap)  # cached
         assert len(origins) == 1
         assert fast.delta == fast.q_value - fast.bound
         try:
-            oracle = direct_oracle(family, s, eps, gmap, nbar_slack)
+            oracle = direct_oracle(family, s, eps, gmap)
         except TruncationError:
             assert np.isfinite(fast.delta)
             return
@@ -538,26 +573,25 @@ class TestCriterionBFromLosslessVector:
 class TestInputValidation:
     @pytest.mark.parametrize("slack", [-0.6, np.nan, np.inf])
     def test_nbar_slack_must_be_finite_nonnegative(self, slack):
-        family = StateFamily("fock", 2)
+        # only a caller's truncated state takes a slack
+        state = make_fock(2, 10)
         with pytest.raises(ValueError, match="nbar_slack"):
-            witness_at_loss(family, 0, 0.3, "a", nbar_slack=slack)
+            delta_a(state, 0, nbar_slack=slack)
         with pytest.raises(ValueError, match="nbar_slack"):
-            epsilon_threshold(family, 0, "b", nbar_slack=slack)
-        with pytest.raises(ValueError, match="nbar_slack"):
-            delta_a(make_fock(2, 10), 0, nbar_slack=slack)
+            delta_b(state, 0, GaussianMapSpec(squeeze=0.1), nbar_slack=slack)
 
     @pytest.mark.parametrize("kind", ["pac", "pss"])
     @pytest.mark.parametrize("bad,match", [
         ({"epsilon": 1.5}, "epsilon"), ({"epsilon": np.nan}, "epsilon"),
         ({"criterion": "c"}, "criterion"), ({"s": 0.5}, "ordering"),
-        ({"s": np.nan}, "ordering"), ({"nbar_slack": -1.0}, "nbar_slack")])
-    def test_checked_before_the_state_is_built(self, monkeypatch, kind, bad,
-                                               match):
-        def build(self, cutoff):
-            raise AssertionError("state built before its inputs were checked")
+        ({"s": np.nan}, "ordering")])
+    def test_checked_before_the_cutoff_is_guarded(self, monkeypatch, kind, bad,
+                                                  match):
+        def guard(family, cutoff):
+            raise AssertionError("cutoff guarded before the inputs were checked")
 
-        monkeypatch.setattr(StateFamily, "build", build)
-        args = {"s": -1, "epsilon": 0.3, "criterion": "b", "nbar_slack": 0.0}
+        monkeypatch.setattr(qng.witness, "_guard", guard)
+        args = {"s": -1, "epsilon": 0.3, "criterion": "b"}
         with pytest.raises(ValueError, match=match):
             witness_at_loss(StateFamily(kind, 0.5), **{**args, **bad})
         if "epsilon" not in bad:
@@ -586,8 +620,8 @@ class TestIdentitySeedIsCriterionA:
     @pytest.mark.parametrize("s", [0, -1, -2])
     def test_equals_criterion_a_without_lossy_matrix(self, loss_calls, family,
                                                      eps, s):
-        a = witness_at_loss(family, s, eps, "a", nbar_slack=0.1)
-        b = witness_at_loss(family, s, eps, "b", nbar_slack=0.1)
+        a = witness_at_loss(family, s, eps, "a")
+        b = witness_at_loss(family, s, eps, "b")
         assert (b.delta, b.q_value, b.n_bar) == (a.delta, a.q_value, a.n_bar)
         assert b.map == GaussianMapSpec()
         assert loss_calls == []
@@ -602,6 +636,14 @@ class TestSeeds:
     def test_beta_opt_rejects_negative_alpha(self):
         with pytest.raises(ValueError):
             beta_opt(-1.0, 0.5)
+
+    def test_seeds_reject_nan(self):
+        # NaN passed the old range checks and came back as a nan seed
+        with pytest.raises(ValueError, match="alpha"):
+            beta_opt(np.nan, 0.5)
+        for r, eps in [(np.nan, 0.5), (0.5, np.nan)]:
+            with pytest.raises(ValueError, match="need r >= 0"):
+                q_opt(r, eps)
 
     @pytest.mark.parametrize("r", [0.0, 0.3, 0.5, 1.0])
     @pytest.mark.parametrize("eps", [0.2, 0.5, 0.8])
@@ -752,7 +794,7 @@ class TestThresholds:
     def test_array_scan_matches_pointwise_scan(self, family, s, tol):
         # the scan as it ran before: one witness per grid point from the top
         def delta(eps):
-            return qng.witness._witness(family, float(s), eps, "a", 0.0).delta
+            return qng.witness._witness(family, float(s), eps, "a").delta
 
         grid = np.linspace(tol, 1.0 - tol, qng.witness.SCAN_POINTS)
         star = "one" if delta(grid[-1]) <= 0 else "none"
@@ -858,15 +900,33 @@ class TestThresholds:
     @pytest.mark.parametrize("s", [0, -0.5, -1, -3])
     @pytest.mark.parametrize("eps", [0, 0.5, 0.9, 1 - 1e-5])
     def test_truncation_tail_bounds_the_dropped_levels(self, s, eps):
-        # dropping levels 41.. of PSS r = 1 moves the origin value by no more
-        # than the tail reported for the kept levels
-        p = qng.fock.photon_probs(make_pss(1.0, 200))
-        q_full, _ = _origin_series(p, s, eps)
-        q_cut, tail = _origin_series(p[:41], s, eps)
-        x = eps - (1 - eps) * (1 + s) / (1 - s)
-        assert tail == pytest.approx((1 - p[:41].sum()) * abs(x) ** 41
-                                     * 2 / (np.pi * (1 - s)), rel=1e-12, abs=0)
+        # dropping levels 41.. of PSS r = 1 after loss moves the origin value
+        # by no more than the tail reported for the kept levels
+        lossy = apply_loss(make_pss(1.0, 200), ChannelSpec(eps))
+        p = qng.fock.photon_probs(lossy)
+        q_full, _ = _origin_series(p, s)
+        q_cut, tail = _origin_series(p[:41], s)
+        assert tail == pytest.approx((1 - p[:41].sum()) * 2 / (np.pi * (1 - s)),
+                                     rel=1e-12, abs=0)
         assert abs(q_full - q_cut) <= tail + 1e-15
+
+    def test_tail_covers_mass_lost_before_a_channel(self):
+        # PSS r = 1 at cutoff 80 leaves 1.6e-9 of its mass out, and loss
+        # moves the kept mass down: the missing mass no longer sits past the
+        # cutoff. The tail counts it at the most any level can carry, which
+        # is qs_origin_error's bound, so the state is not certified
+        s, channel = -2.0, ChannelSpec(1 - 1e-5)
+        state = apply_loss(make_pss(1.0, 80), channel)
+        rep = delta_a(state, s)
+        assert rep.delta == pytest.approx(-1.54e-10, rel=1e-2)
+        tail = _origin_series(qng.fock.photon_probs(state), s)[1]
+        assert tail == pytest.approx(qs_origin_error(state, s), rel=1e-6)
+        assert tail == pytest.approx(3.47e-10, rel=1e-2)
+        assert not rep.conclusive
+        for cutoff in (120, 200):  # the same state, held in full
+            converged = delta_a(apply_loss(make_pss(1.0, cutoff), channel), s)
+            assert converged.delta == pytest.approx(1.94e-10, rel=1e-2)
+            assert not converged.conclusive
 
 
 def test_soundness_on_hull_samples():
