@@ -1,9 +1,9 @@
 """Detection of quantum non-Gaussianity via phase-space quasiprobability bounds."""
 
-from .bounds import (BoundCurve, ConvexityReport, Rank2Candidate, bound_at_zero,
+from .bounds import (ConvexityReport, Rank2Candidate, bound_at_zero,
                      build_bound_curve, convexity_check, m_minus1_closed,
                      pure_bound, rank2_search, wigner_bound_closed)
-from .error_model import BoundErrorRow, ErrorSpec, bound_error_curve
+from .error_model import normalized_bound_stats
 from .fock import (ChannelSpec, GaussianMapSpec, TruncatedState, TruncationError,
                    apply_loss, apply_map, make_coherent, make_displaced_squeezed,
                    make_fock, make_pac, make_pss, make_squeezed, mix, moments,

@@ -18,18 +18,17 @@ holds only the vacuum, and every bound here is its origin value 2/(pi(1-s))
 qng.quasiprob, so the vacuum's witness is exactly 0. Each public function
 checks its own s and n where they enter.
 
-build_bound_curve and the error bars of qng.error_model still tabulate the
-bounded minimization of the objective (_minimized_bound), whose m_opt is off by
-up to about 5e-7: their recorded outputs carry it. Rank-2 mixtures are
-searched separately to confirm they cannot undercut the pure-state bound at
-working precision.
+build_bound_curve (the (n, bound, m_opt) rows of `qng bound-curve`) and the
+error bars of qng.error_model still tabulate the bounded minimization of the
+objective (_minimized_bound), whose m_opt is off by up to about 5e-7: their
+recorded outputs carry it. Rank-2 mixtures are searched separately to confirm
+they cannot undercut the pure-state bound at working precision.
 """
 
 from __future__ import annotations
 
-import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -280,21 +279,6 @@ def rank2_search(n: float, s) -> Rank2Candidate:
     return best
 
 
-@dataclass(frozen=True)
-class BoundCurve:
-    """Tabulated pure-state bound samples (n, bound, m_opt) for one s."""
-
-    s: float
-    samples: list[tuple[float, float, float]] = field(repr=False)
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("n,bound,m_opt\n")
-        for n, b, m in self.samples:
-            buf.write(f"{n:.17g},{b:.17g},{m:.17g}\n")
-        return buf.getvalue()
-
-
 MAX_GRID_POINTS = 1_000_000  # longest grid a bound table or a CLI range may hold
 
 
@@ -310,14 +294,10 @@ def _grid(n_max: float, step: float) -> np.ndarray:
     return np.arange(0.0, n_max + step / 2, step)
 
 
-def build_bound_curve(s, n_max: float, step: float) -> BoundCurve:
+def build_bound_curve(s, n_max: float, step: float) -> list[tuple]:
+    """Rows (n, bound, m_opt) of _minimized_bound on the grid 0, step, ... n_max."""
     sv = _coerce_s(s)
-    grid = _grid(n_max, step)
-    samples = []
-    for n in grid:
-        b, m = _minimized_bound(float(n), sv)
-        samples.append((float(n), b, m))
-    return BoundCurve(s=sv, samples=samples)
+    return [(n, *_minimized_bound(n, sv)) for n in _grid(n_max, step).tolist()]
 
 
 @dataclass(frozen=True)
@@ -335,6 +315,8 @@ def convexity_check(s, n_max: float, step: float,
                     tol: float = 1e-10) -> ConvexityReport:
     """Check convexity (second differences) and strict decrease on a grid."""
     sv = _coerce_s(s)
+    if not tol >= 0:  # NaN fails this too
+        raise ValueError(f"tol must be >= 0, got {tol}")
     grid = _grid(n_max, step)
     b = pure_bound(grid, sv)[0]
     second = b[:-2] - 2.0 * b[1:-1] + b[2:]

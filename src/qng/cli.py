@@ -14,8 +14,9 @@ import sys
 from functools import cache
 
 from .bounds import MAX_GRID_POINTS, build_bound_curve
-from .error_model import ErrorSpec, bound_error_curve
+from .error_model import normalized_bound_stats
 from .fock import TruncationError
+from .quasiprob import _coerce_s
 from .witness import StateFamily, epsilon_threshold, witness_curve
 
 EXIT_OK = 0
@@ -83,8 +84,10 @@ def _families(args) -> list[StateFamily]:
 
 
 def cmd_bound_curve(args) -> int:
-    curve = build_bound_curve(args.s, args.n_max, args.step)
-    _write(args.out, curve.to_csv())
+    lines = ["n,bound,m_opt"]
+    for row in build_bound_curve(args.s, args.n_max, args.step):
+        lines.append(",".join(map(_fmt, row)))
+    _write(args.out, "\n".join(lines) + "\n")
     return EXIT_OK
 
 
@@ -120,13 +123,13 @@ def cmd_witness_curve(args) -> int:
 
 
 def cmd_error_bars(args) -> int:
-    s_values = parse_s_list(args.s)
+    s_values = [_coerce_s(s) for s in parse_s_list(args.s)]
     grid = parse_range(args.n_avg, args.step)
-    spec = ErrorSpec(k=args.k, n_avg_grid=grid, s_list=s_values)
     lines = [f"# k={args.k}", "s,n_avg,mean,std"]
-    for row in bound_error_curve(spec):
-        lines.append(",".join(_fmt(v) for v in
-                              (row.s, row.n_avg, row.mean, row.std)))
+    for s in s_values:
+        for n_avg in grid:
+            mean, std = normalized_bound_stats(s, n_avg, args.k)
+            lines.append(",".join(map(_fmt, (s, n_avg, mean, std))))
     _write(args.out, "\n".join(lines) + "\n")
     return EXIT_OK
 

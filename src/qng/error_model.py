@@ -8,14 +8,14 @@ and at least 1 (the count that carries the std at tiny means); their weights
 come from math.lgamma and numpy. A distribution whose support needs more than
 bounds.MAX_GRID_POINTS counts is refused. The bound at each count is the
 bounded minimization of qng.bounds (_minimized_bound), as in the tabulated
-bound curves, so the recorded error bars keep their values.
+bound curves, so the recorded error bars keep their values. `qng error-bars`
+calls normalized_bound_stats once per (s, n_avg); it checks s, k and n_avg.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,39 +23,6 @@ from .bounds import MAX_GRID_POINTS, _minimized_bound, bound_at_zero
 from .quasiprob import _coerce_s
 
 POISSON_MASS = 1.0 - 1e-12
-
-
-@dataclass(frozen=True)
-class ErrorSpec:
-    k: int
-    n_avg_grid: list[float]
-    s_list: list[float]
-
-    def __post_init__(self):
-        _check_k(self.k)
-        grid = list(self.n_avg_grid)
-        for n_avg in grid:
-            _check_n_avg(n_avg)
-        if grid != sorted(grid):
-            raise ValueError("n_avg_grid must be sorted")
-
-
-@dataclass(frozen=True)
-class BoundErrorRow:
-    s: float
-    n_avg: float
-    mean: float
-    std: float
-
-
-def _check_k(k) -> None:
-    if not (isinstance(k, numbers.Integral) and k >= 1):
-        raise ValueError(f"k must be an integer >= 1, got {k!r}")
-
-
-def _check_n_avg(n_avg) -> None:
-    if not 0 <= n_avg < math.inf:  # NaN fails this too
-        raise ValueError(f"n_avg must be finite and >= 0, got {n_avg}")
 
 
 def _support_refused(lam: float) -> ValueError:
@@ -87,8 +54,10 @@ def _poisson_weights(lam: float) -> np.ndarray:
 def normalized_bound_stats(s, n_avg: float, k: int) -> tuple[float, float]:
     """Mean and std of the normalized bound under Poisson(k * n_avg) counts."""
     sv = _coerce_s(s)
-    _check_k(k)
-    _check_n_avg(n_avg)
+    if not (isinstance(k, numbers.Integral) and k >= 1):
+        raise ValueError(f"k must be an integer >= 1, got {k!r}")
+    if not 0 <= n_avg < math.inf:  # NaN fails this too
+        raise ValueError(f"n_avg must be finite and >= 0, got {n_avg}")
     scale = bound_at_zero(sv)
     if n_avg == 0:
         return 1.0, 0.0
@@ -101,13 +70,3 @@ def normalized_bound_stats(s, n_avg: float, k: int) -> tuple[float, float]:
     # centered, so a std far below the mean does not cancel
     std = math.sqrt(float(np.dot(weights, (values - mean) ** 2) / total))
     return mean, std
-
-
-def bound_error_curve(spec: ErrorSpec) -> list[BoundErrorRow]:
-    rows = []
-    for s in spec.s_list:
-        for n_avg in spec.n_avg_grid:
-            mean, std = normalized_bound_stats(s, n_avg, spec.k)
-            rows.append(BoundErrorRow(s=_coerce_s(s), n_avg=n_avg,
-                                      mean=mean, std=std))
-    return rows

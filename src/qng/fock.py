@@ -1,7 +1,7 @@
 """Truncated Fock-basis states and Gaussian operations on them.
 
-States are density matrices on the span of |0>..|cutoff|, stored together
-with an upper estimate of the probability mass lost to truncation.
+States are density matrices on the span of |0>..|cutoff>, the matrix alone:
+the probability mass lost to truncation is what its trace misses of 1.
 Conventions: D(beta) = exp(beta a^dag - beta* a) and, for real q,
 S(q) = exp(q/2 (a^dag^2 - a^2)), so that S^dag a S = a cosh q + a^dag sinh q.
 
@@ -20,9 +20,10 @@ qng.quasiprob gives its origin value from them in closed form, which is how
 criterion b evaluates these states, with no vector.
 
 Validation runs at the boundary only: a TruncatedState built from a caller's
-matrix is checked in full (shape, Hermitian, trace, positive semidefinite),
-while the states this module builds (pure states, loss, maps, mixtures) are
-positive semidefinite by construction and have only their trace checked.
+matrix is checked in full (shape, finite entries, Hermitian, trace, positive
+semidefinite), while the states this module builds (pure states, loss, maps,
+mixtures) are positive semidefinite by construction, have their truncation
+checked where it happens, and only have their trace checked against 1.
 Real states stay real: a matrix with real entries is stored as float64, and
 loss and real maps act on it in real arithmetic; complex inputs run the same
 code in complex128.
@@ -77,64 +78,71 @@ class GaussianMapSpec:
 
 @dataclass(frozen=True)
 class TruncatedState:
-    """Density matrix on Fock levels 0..cutoff with declared tail mass.
+    """Density matrix on Fock levels 0..cutoff, cutoff its size - 1.
 
-    Construction validates the matrix in full; a real matrix stays real.
+    Construction validates the matrix in full and accepts a trace in
+    (1 - TRUNCATION_LIMIT, 1 + TRACE_TOL]; a real matrix stays real. The
+    mass missing from the trace is the truncation tail.
     """
 
-    cutoff: int
     matrix: np.ndarray = field(repr=False)
-    tail_bound: float = 0.0
 
     def __post_init__(self):
         rho = np.asarray(self.matrix)
         rho = rho.astype(float if rho.dtype.kind in "biuf" else complex, copy=False)
-        if self.cutoff < 1:
-            raise ValueError("cutoff must be >= 1")
-        if rho.shape != (self.cutoff + 1, self.cutoff + 1):
-            raise ValueError(
-                f"matrix shape {rho.shape} does not match cutoff {self.cutoff}"
-            )
-        if self.tail_bound < 0:
-            raise ValueError("tail_bound must be >= 0")
+        if rho.ndim != 2 or rho.shape[0] != rho.shape[1] or rho.shape[0] < 2:
+            raise ValueError(f"matrix must be square and at least 2x2, got {rho.shape}")
+        if not np.isfinite(rho).all():
+            raise ValueError("matrix entries must be finite")
         herm = np.max(np.abs(rho - rho.conj().T))
-        if herm > HERMITICITY_TOL:
+        if not herm <= HERMITICITY_TOL:
             raise ValueError(f"matrix not Hermitian (deviation {herm:.3e})")
-        _check_trace(rho, self.tail_bound)
+        tr = _check_trace(rho)
+        if not tr > 1.0 - TRUNCATION_LIMIT:
+            raise ValueError(f"trace {tr} misses {TRUNCATION_LIMIT:g} or more of 1")
         lam_min = float(np.linalg.eigvalsh(rho)[0])
-        if lam_min < -EIGVAL_TOL:
+        if not lam_min >= -EIGVAL_TOL:
             raise ValueError(f"matrix not positive semidefinite ({lam_min:.3e})")
         object.__setattr__(self, "matrix", rho)
 
     @property
+    def cutoff(self) -> int:
+        return self.dim - 1
+
+    @property
     def dim(self) -> int:
-        return self.cutoff + 1
+        return self.matrix.shape[0]
+
+    @property
+    def tail_bound(self) -> float:
+        """The mass missing from the trace, max(0, 1 - Tr rho)."""
+        return max(0.0, 1.0 - float(np.trace(self.matrix).real))
 
 
-def _check_trace(rho: np.ndarray, tail_bound: float) -> None:
+def _check_trace(rho: np.ndarray) -> float:
+    """Tr rho, once it is at most 1 + TRACE_TOL (NaN fails this too)."""
     tr = float(np.real(np.trace(rho)))
-    if not (1.0 - tail_bound - TRACE_TOL <= tr <= 1.0 + TRACE_TOL):
-        raise ValueError(f"trace {tr} incompatible with tail_bound {tail_bound}")
+    if not tr <= 1.0 + TRACE_TOL:
+        raise ValueError(f"trace {tr} exceeds 1")
+    return tr
 
 
-def _trusted_state(cutoff: int, rho: np.ndarray, tail_bound: float) -> TruncatedState:
+def _trusted_state(rho: np.ndarray) -> TruncatedState:
     """State from a matrix that is Hermitian and PSD by construction.
 
     Only the trace is checked; __post_init__ and its eigendecomposition are
     skipped.
     """
-    _check_trace(rho, tail_bound)
+    _check_trace(rho)
     state = object.__new__(TruncatedState)
-    for name, value in (("cutoff", cutoff), ("matrix", rho),
-                        ("tail_bound", tail_bound)):
-        object.__setattr__(state, name, value)
+    object.__setattr__(state, "matrix", rho)
     return state
 
 
-def _vector_tail(cutoff: int, psi: np.ndarray, what: str) -> float:
-    """The norm missing from psi on levels 0..cutoff, once psi fits: a kept
-    norm above 1 means the amplitudes cancelled in floating point (a PSS r of
-    about 100 or more), and no cutoff holds that state either."""
+def _check_fits(cutoff: int, psi: np.ndarray, what: str) -> None:
+    """Refuse psi unless levels 0..cutoff keep all but TRUNCATION_LIMIT of its
+    norm: a kept norm above 1 means the amplitudes cancelled in floating point
+    (a PSS r of about 100 or more), and no cutoff holds that state either."""
     norm = float(np.sum(np.abs(psi) ** 2))
     if norm > 1.0 + TRACE_TOL:
         raise TruncationError(f"cutoff {cutoff} keeps norm {norm:.3e} > 1 for {what}")
@@ -143,13 +151,12 @@ def _vector_tail(cutoff: int, psi: np.ndarray, what: str) -> float:
         raise TruncationError(f"cutoff {cutoff} leaves tail {tail:.3e} for {what}")
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
-    return tail
 
 
 def _state_from_vector(cutoff: int, psi: np.ndarray, what: str) -> TruncatedState:
-    """Pure state |psi><psi|; the norm missing from psi is its tail."""
-    return _trusted_state(cutoff, np.outer(psi, psi.conj()),
-                          _vector_tail(cutoff, psi, what))
+    """Pure state |psi><psi|, once psi fits the cutoff."""
+    _check_fits(cutoff, psi, what)
+    return _trusted_state(np.outer(psi, psi.conj()))
 
 
 def _member_vector(kind: str, param, cutoff: int) -> tuple[np.ndarray, str]:
@@ -167,11 +174,16 @@ def _member_vector(kind: str, param, cutoff: int) -> tuple[np.ndarray, str]:
     return _family_vector(kind, param, cutoff), f"{name}={param:.3g}"
 
 
+def _fock_number(m) -> int:
+    """The Fock number m as an int, once it is a whole number >= 0."""
+    if not (m >= 0 and math.isfinite(m) and m == math.floor(m)):  # NaN fails
+        raise ValueError(f"Fock number m must be an integer >= 0, got {m!r}")
+    return int(m)
+
+
 def make_fock(m: int, cutoff: int) -> TruncatedState:
     """Fock state |m><m|."""
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    return _state_from_vector(cutoff, *_member_vector("fock", m, cutoff))
+    return _state_from_vector(cutoff, *_member_vector("fock", _fock_number(m), cutoff))
 
 
 def make_coherent(alpha: complex, cutoff: int) -> TruncatedState:
@@ -259,6 +271,8 @@ def displaced_squeezed_vector(beta: complex, q: float, cutoff: int) -> np.ndarra
     The amplitudes are real, and returned as float64, when beta is real.
     """
     beta = complex(beta)
+    if not (cmath.isfinite(beta) and math.isfinite(q)):
+        raise ValueError(f"beta and q must be finite, got beta={beta}, q={q}")
     mu, nu = math.cosh(q), math.sinh(q)
     exponent = -0.5 * abs(beta) ** 2 + 0.5 * math.tanh(q) * beta.conjugate() ** 2
     c = cmath.exp(1j * exponent.imag) / math.sqrt(mu)
@@ -306,11 +320,11 @@ def apply_loss(state: TruncatedState, channel: ChannelSpec) -> TruncatedState:
         k = d - n
         out[:k, :k] += (wn[:k, None] * rho[n:, n:]) * wn[:k]
     out = 0.5 * (out + out.conj().T)
-    return _trusted_state(state.cutoff, out, state.tail_bound)
+    return _trusted_state(out)
 
 
 def _map_core(state: TruncatedState, gmap: GaussianMapSpec):
-    """G, G rho, mapped photon numbers p' and lost trace for U = D(beta) S(q).
+    """G, G rho and mapped photon numbers p' for U = D(beta) S(q).
 
     G[m, n] = <m|U|n> is built exactly, one column at a time: column 0 is
     U|0>, and a^dag U = U (a^dag cosh q + a sinh q + beta*) gives
@@ -349,7 +363,7 @@ def _map_core(state: TruncatedState, gmap: GaussianMapSpec):
     lost = float(np.trace(rho).real) - float(np.sum(probs))
     if not abs(lost) <= MAP_TRUNCATION_LIMIT:  # NaN fails this too
         raise TruncationError(f"map loses trace {lost:.3e} past cutoff {state.cutoff}")
-    return g, g_rho, probs, lost
+    return g, g_rho, probs
 
 
 def mapped_photon_probs(state: TruncatedState, gmap: GaussianMapSpec) -> np.ndarray:
@@ -359,13 +373,12 @@ def mapped_photon_probs(state: TruncatedState, gmap: GaussianMapSpec) -> np.ndar
 
 def apply_map(state: TruncatedState, gmap: GaussianMapSpec) -> TruncatedState:
     """Apply U = D(beta) S(q) as (G rho) G^dag with the exact block G of
-    _map_core; the trace pushed past the cutoff is added to tail_bound."""
+    _map_core; the trace pushed past the cutoff joins the tail."""
     if gmap.is_identity:
         return state
-    g, g_rho, _, lost = _map_core(state, gmap)
+    g, g_rho, _ = _map_core(state, gmap)
     sub = g_rho @ g.conj().T
-    return _trusted_state(state.cutoff, 0.5 * (sub + sub.conj().T),
-                          state.tail_bound + max(lost, 0.0))
+    return _trusted_state(0.5 * (sub + sub.conj().T))
 
 
 def mix(states: list[TruncatedState], weights: list[float]) -> TruncatedState:
@@ -374,12 +387,9 @@ def mix(states: list[TruncatedState], weights: list[float]) -> TruncatedState:
         raise ValueError("states and weights must be nonempty and equal-length")
     if abs(sum(weights) - 1.0) > 1e-12 or min(weights) < 0:
         raise ValueError("weights must be a probability vector")
-    cutoff = states[0].cutoff
-    if any(s.cutoff != cutoff for s in states):
+    if any(s.matrix.shape != states[0].matrix.shape for s in states):
         raise ValueError("all states must share the same cutoff")
-    rho = sum(w * s.matrix for w, s in zip(weights, states))
-    tail = sum(w * s.tail_bound for w, s in zip(weights, states))
-    return _trusted_state(cutoff, rho, tail)
+    return _trusted_state(sum(w * s.matrix for w, s in zip(weights, states)))
 
 
 def photon_probs(state: TruncatedState) -> np.ndarray:

@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from .fock import (GaussianMapSpec, TruncatedState, _family_ladder,
-                   mapped_photon_probs, photon_probs)
+                   _fock_number, mapped_photon_probs, photon_probs)
 
 
 # Lowest ordering parameter accepted. From S_MIN up to 0 every origin formula
@@ -58,9 +58,7 @@ def _coerce_s(s) -> float:
 
 def qs_fock(m: int, s) -> float:
     """Closed-form quasiprobability of |m><m| at the origin."""
-    sv = _coerce_s(s)
-    if m < 0:
-        raise ValueError("m must be >= 0")
+    sv, m = _coerce_s(s), _fock_number(m)
     return 2.0 / (np.pi * (1.0 - sv)) * (-1.0) ** m * ((1.0 + sv) / (1.0 - sv)) ** m
 
 
@@ -69,7 +67,7 @@ def _origin_series(p: np.ndarray, sv: float) -> tuple[float, float]:
     x = -(1+s)/(1-s), and its truncation tail (1 - sum p) 2/(pi(1-s)): as
     |x| <= 1 for s <= 0, the missing mass moves the value by no more than
     that wherever it sits, past the last level or (lost before a channel)
-    at low levels: qs_origin_error's bound, with the mass read from p."""
+    at low levels: qs_origin_error."""
     scale = 2.0 / (np.pi * (1.0 - sv))
     value = scale * float((-(1.0 + sv) / (1.0 - sv)) ** np.arange(p.size) @ p)
     return value, scale * max(0.0, 1.0 - float(p.sum()))
@@ -79,15 +77,16 @@ def qs_origin(state: TruncatedState, s) -> float:
     """Quasiprobability at the origin from the photon-number distribution.
 
     Alternating series 2/(pi(1-s)) sum_m (-1)^m ((1+s)/(1-s))^m p_m; the
-    truncation error is at most tail_bound * 2/(pi(1-s)).
+    truncation error is at most qs_origin_error(state, s), the mass missing
+    from the trace times 2/(pi(1-s)).
     """
     return _origin_series(photon_probs(state), _coerce_s(s))[0]
 
 
 def qs_origin_error(state: TruncatedState, s) -> float:
-    """Upper estimate of the truncation error of qs_origin."""
-    sv = _coerce_s(s)
-    return state.tail_bound * 2.0 / (np.pi * (1.0 - sv))
+    """Upper estimate of the truncation error of qs_origin: the tail that
+    the verdicts of delta_a count."""
+    return _origin_series(photon_probs(state), _coerce_s(s))[1]
 
 
 def _pure_gaussian_origin(n, m, sv: float, cos_phase):

@@ -50,7 +50,7 @@ import numpy as np
 
 from .bounds import _fminbound, pure_bound
 from .fock import (ChannelSpec, GaussianMapSpec, TruncatedState, TruncationError,
-                   _member_vector, _state_from_vector, _vector_tail,
+                   _check_fits, _member_vector, _state_from_vector,
                    mapped_photon_probs, photon_probs)
 from .quasiprob import _coerce_s, _family_origin, _origin_series
 
@@ -107,7 +107,7 @@ class StateFamily:
 def _guard(family: StateFamily, cutoff: int) -> None:
     """Refuse what family.build(cutoff) refuses, with the same exception and
     message: the same amplitudes and checks, with no density matrix."""
-    _vector_tail(cutoff, *family._amplitudes(cutoff))
+    _check_fits(cutoff, *family._amplitudes(cutoff))
 
 
 @dataclass(frozen=True)

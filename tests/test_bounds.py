@@ -161,6 +161,12 @@ class TestConvexity:
         with pytest.raises(ValueError):
             convexity_check(-1, 10, 0)
 
+    @pytest.mark.parametrize("tol", [np.nan, -1.0])
+    def test_bad_tol_rejected(self, tol):
+        # a NaN tol used to pass every grid
+        with pytest.raises(ValueError, match="tol must be >= 0"):
+            convexity_check(-1, 5, 0.1, tol=tol)
+
     @pytest.mark.parametrize("n_max,step,name", [
         (np.nan, 0.1, "n_max"), (np.inf, 0.1, "n_max"), (-1.0, 0.1, "n_max"),
         (10.0, np.nan, "step"), (10.0, np.inf, "step"), (10.0, -0.1, "step")])
@@ -173,18 +179,13 @@ class TestConvexity:
 
 
 class TestBoundCurve:
-    def test_csv_header_and_first_row(self):
-        curve = build_bound_curve(-1, 1.0, 0.5)
-        text = curve.to_csv()
-        lines = text.strip().split("\n")
-        assert lines[0] == "n,bound,m_opt"
-        first = lines[1].split(",")
-        assert float(first[0]) == 0.0
-        assert float(first[1]) == pytest.approx(1 / np.pi, abs=1e-12)
+    def test_rows_and_first_row(self):
+        rows = build_bound_curve(-1, 1.0, 0.5)
+        assert [row[0] for row in rows] == [0.0, 0.5, 1.0]
+        assert rows[0] == (0.0, pytest.approx(1 / np.pi, abs=1e-12), 0.0)
 
     def test_monotone_decreasing_samples(self):
-        curve = build_bound_curve(-2, 5.0, 0.25)
-        b = [row[1] for row in curve.samples]
+        b = [row[1] for row in build_bound_curve(-2, 5.0, 0.25)]
         assert all(x > y for x, y in zip(b, b[1:]))
         assert all(x > 0 for x in b)
 

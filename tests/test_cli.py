@@ -5,6 +5,7 @@ import inspect
 import numpy as np
 import pytest
 
+import qng.cli
 import qng.error_model
 import qng.witness
 from qng.cli import MAX_CUTOFF, build_parser, main
@@ -381,13 +382,47 @@ README_COMMANDS = {  # sha256 of each README CLI command's CSV (x86-64, numpy 2.
 }
 
 
-@pytest.mark.parametrize("command", README_COMMANDS)
+TABLE_COMMANDS = {  # more bound tables, same platform as README_COMMANDS
+    "bound-curve --s 0 --n-max 2 --step 0.25":
+        "c6ed7085802bc8fecb31a09c46e1c63688c399815d565bba2b2f325e2845ce55",
+    "bound-curve --s -2.5 --n-max 0.3 --step 0.1":
+        "1fe2ac4c07b19f2c1e15fcae65f5c9c3482ff04afd5e9a44437760d367387a2a",
+    "bound-curve --s -0 --n-max 0.5 --step 0.25":
+        "dc7b1831e4b606baa47cb02bcab26126ee2d7e3d7ca7cb44fbe7ac9f2e10d6e3",
+    "error-bars --s -1 --n-avg 0.5 --k 20":
+        "ca3d42acc39c1b01a424ad7ccdc34608c5c9780b28674ac1b7598329c8881dab",
+    "error-bars --s -0.25,-3 --n-avg 0..1 --step 0.5 --k 7":
+        "00e1577febff359afad65c1ba6e0625abcb203fabe27699feff98280618fed37",
+    "error-bars --s -0,-1.5 --n-avg 0.25 --k 3":
+        "7c19ee4e872b8efa97cc4e2cceb94095d67fa6784bd81ef1f41985227609d63b",
+}
+
+
+@pytest.mark.parametrize("command", [*README_COMMANDS, *TABLE_COMMANDS])
 def test_readme_commands_print_the_recorded_csv(command, capsys):
     # the default CSV is part of the public surface: a change that moves a
     # byte of it must say so and record the new digest
     code, out = run_cli(command.split(), capsys)
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == README_COMMANDS[command]
+    digest = {**README_COMMANDS, **TABLE_COMMANDS}[command]
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv", [
+    ["error-bars", "--s", "0.5", "--n-avg", "1", "--k", "0"],
+    ["error-bars", "--s", "-1,0.5", "--n-avg", "0..10", "--step", "0.25",
+     "--k", "100"],
+], ids=["bad-k", "late-s"])
+def test_error_bars_names_a_bad_s_before_a_bad_k(monkeypatch, capsys, argv):
+    def computed(*args):
+        raise AssertionError("a row was computed before s was checked")
+
+    monkeypatch.setattr(qng.cli, "normalized_bound_stats", computed)
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ordering parameter")
 
 
 def test_deterministic_output(capsys):

@@ -11,18 +11,10 @@ import qng
 import qng.error_model
 from qng.bounds import (MAX_GRID_POINTS, _minimized_bound, bound_at_zero,
                         pure_bound)
-from qng.error_model import (POISSON_MASS, BoundErrorRow, ErrorSpec,
-                             _poisson_weights, bound_error_curve,
+from qng.error_model import (POISSON_MASS, _poisson_weights,
                              normalized_bound_stats)
 
 SRC = Path(qng.__file__).resolve().parents[1]
-
-
-def test_spec_validation():
-    with pytest.raises(ValueError):
-        ErrorSpec(k=0, n_avg_grid=[0.0], s_list=[-1])
-    with pytest.raises(ValueError):
-        ErrorSpec(k=10, n_avg_grid=[1.0, 0.5], s_list=[-1])
 
 
 @pytest.mark.parametrize("k", [0, -1, 2.5, 100.0, "3"])
@@ -30,8 +22,6 @@ def test_k_must_be_an_integer_at_least_one(k):
     # k = -1 raised "math domain error", and k = 2.5 returned a value
     with pytest.raises(ValueError, match=r"k must be an integer >= 1"):
         normalized_bound_stats(-1, 0.5, k)
-    with pytest.raises(ValueError, match=r"k must be an integer >= 1"):
-        ErrorSpec(k=k, n_avg_grid=[0.5], s_list=[-1])
 
 
 def test_numpy_integer_k_accepted():
@@ -43,8 +33,6 @@ def test_numpy_integer_k_accepted():
 def test_n_avg_must_be_finite_nonnegative(n_avg):
     with pytest.raises(ValueError, match="n_avg must be finite and >= 0"):
         normalized_bound_stats(-1, n_avg, 10)
-    with pytest.raises(ValueError, match="n_avg must be finite and >= 0"):
-        ErrorSpec(k=10, n_avg_grid=[0.0, n_avg], s_list=[-1])
 
 
 def test_point_mass_at_zero():
@@ -71,9 +59,8 @@ def test_exact_sum_matches_monte_carlo():
 
 
 def test_mean_bounded_and_decreasing():
-    rows = bound_error_curve(ErrorSpec(k=100, n_avg_grid=[0, 0.5, 1, 2],
-                                       s_list=[-1]))
-    means = [r.mean for r in rows]
+    means = [normalized_bound_stats(-1, n_avg, 100)[0]
+             for n_avg in (0, 0.5, 1, 2)]
     assert all(m <= 1 + 1e-12 for m in means)
     assert all(x > y for x, y in zip(means, means[1:]))
 
@@ -100,14 +87,6 @@ def test_comparable_spread_across_s():
     _, std2 = normalized_bound_stats(-2, 1.0, 100)
     ratio = std1 / std2
     assert 1 / 3 <= ratio <= 3
-
-
-def test_curve_rows_structure():
-    rows = bound_error_curve(ErrorSpec(k=50, n_avg_grid=[0, 1],
-                                       s_list=[0, -1]))
-    assert len(rows) == 4
-    assert isinstance(rows[0], BoundErrorRow)
-    assert rows[0].n_avg == 0 and rows[0].mean == 1.0
 
 
 @pytest.mark.parametrize("module", ["scipy.stats", "scipy.optimize",

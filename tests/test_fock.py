@@ -7,8 +7,8 @@ from hypothesis import strategies as hst
 from scipy.linalg import expm
 from scipy.special import gammaln
 
-from qng.fock import (ChannelSpec, GaussianMapSpec, TruncatedState,
-                      TruncationError, apply_loss, apply_map,
+from qng.fock import (MAP_TRUNCATION_LIMIT, ChannelSpec, GaussianMapSpec,
+                      TruncatedState, TruncationError, apply_loss, apply_map,
                       displaced_squeezed_vector, make_coherent,
                       make_displaced_squeezed, make_fock, make_pac, make_pss,
                       make_squeezed, mapped_photon_probs, mix, moments,
@@ -113,20 +113,48 @@ class TestStateValidation:
         rho[0, 0] = 1.0
         rho[0, 1] = 0.1
         with pytest.raises(ValueError):
-            TruncatedState(cutoff=2, matrix=rho, tail_bound=0.0)
+            TruncatedState(rho)
 
     def test_rejects_bad_trace(self):
         rho = np.eye(3, dtype=complex)
         with pytest.raises(ValueError):
-            TruncatedState(cutoff=2, matrix=rho, tail_bound=0.0)
+            TruncatedState(rho)
 
     def test_rejects_negative_eigenvalue(self):
         rho = np.diag([1.5, -0.5, 0.0]).astype(complex)
         with pytest.raises(ValueError):
-            TruncatedState(cutoff=2, matrix=rho, tail_bound=0.0)
+            TruncatedState(rho)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_rejects_non_finite_entries(self, bad):
+        # an infinite coherence passed the Hermitian check (inf - inf is NaN)
+        # and delta_a certified the state; a NaN one failed inside eigvalsh
+        rho = np.diag([0.5, 0.5, 0.0])
+        rho[0, 1] = rho[1, 0] = bad
+        with pytest.raises(ValueError, match="entries must be finite"):
+            TruncatedState(rho)
+
+    @pytest.mark.parametrize("matrix", [np.full((2, 3), 0.5), np.eye(1),
+                                        np.array([1.0, 0.0])],
+                             ids=["not-square", "1x1", "vector"])
+    def test_rejects_bad_shape(self, matrix):
+        with pytest.raises(ValueError, match="square and at least 2x2"):
+            TruncatedState(matrix)
+
+    def test_cutoff_and_tail_read_from_the_matrix(self):
+        # a caller's matrix may miss less than TRUNCATION_LIMIT of its trace,
+        # and what it misses is its tail
+        st = TruncatedState(np.diag([0.6, 0.4 - 5e-7, 0.0, 0.0]))
+        assert (st.cutoff, st.dim) == (3, 4)
+        assert st.tail_bound == pytest.approx(5e-7, rel=1e-9)
+
+    @pytest.mark.parametrize("missing", [1.01e-6, 1e-3, 0.5])
+    def test_rejects_a_trace_missing_the_truncation_limit(self, missing):
+        with pytest.raises(ValueError, match="misses 1e-06 or more"):
+            TruncatedState(np.diag([0.6, 0.4 - missing, 0.0]))
 
     def test_caller_matrix_is_decomposed_once(self, eigvalsh_calls):
-        TruncatedState(cutoff=2, matrix=np.diag([0.5, 0.5, 0.0]))
+        TruncatedState(np.diag([0.5, 0.5, 0.0]))
         assert eigvalsh_calls == [(3, 3)]
 
     def test_built_states_are_not_decomposed(self, eigvalsh_calls):
@@ -143,11 +171,31 @@ class TestStateValidation:
          np.complex128),
     ])
     def test_real_matrix_stays_real(self, matrix, dtype):
-        assert TruncatedState(cutoff=2, matrix=matrix).matrix.dtype == dtype
+        assert TruncatedState(matrix).matrix.dtype == dtype
 
     def test_cutoff_below_one_rejected(self):
         with pytest.raises(ValueError):
             make_fock(0, 0)
+
+    @pytest.mark.parametrize("m", [1.5, -1, np.nan, np.inf])
+    def test_fock_number_must_be_an_integer(self, m):
+        # make_fock(1.5, 4) used to raise IndexError
+        with pytest.raises(ValueError, match="must be an integer >= 0"):
+            make_fock(m, 4)
+
+    def test_integral_fock_numbers_accepted(self):
+        for m in (np.int64(2), 2.0):
+            assert np.array_equal(make_fock(m, 4).matrix, make_fock(2, 4).matrix)
+
+    @pytest.mark.parametrize("build", [
+        lambda: make_coherent(np.inf, 10), lambda: make_pac(np.nan, 10),
+        lambda: make_pss(np.inf, 10), lambda: make_squeezed(np.nan, 10),
+        lambda: make_displaced_squeezed(complex(0, np.inf), 0.1, 10),
+    ], ids=["coherent-inf", "pac-nan", "pss-inf", "squeezed-nan", "gaussian-inf"])
+    def test_non_finite_parameters_refused_by_name(self, build):
+        # these used to end in a RuntimeWarning and a NaN trace
+        with pytest.raises(ValueError, match="beta and q must be finite"):
+            build()
 
 
 class TestLoss:
@@ -243,7 +291,7 @@ class TestLossWeightsInOneArray:
         ref = loss_oracle(st.matrix, eps)
         assert out.matrix.dtype == st.matrix.dtype
         assert np.max(np.abs(out.matrix - ref)) <= 1e-15
-        assert out.tail_bound == st.tail_bound
+        assert out.tail_bound == pytest.approx(st.tail_bound, abs=1e-15)
 
 
 class TestRealStatesStayReal:
@@ -268,9 +316,7 @@ class TestRealStatesStayReal:
                              ids=["pss", "pac"])
     def test_real_matches_complex(self, family, gmap):
         real = family()
-        cplx = TruncatedState(cutoff=real.cutoff,
-                              matrix=real.matrix.astype(complex),
-                              tail_bound=real.tail_bound)
+        cplx = TruncatedState(real.matrix.astype(complex))
         lossy_r = apply_loss(real, ChannelSpec(0.3))
         lossy_c = apply_loss(cplx, ChannelSpec(0.3))
         assert lossy_r.matrix.dtype == np.float64
@@ -422,16 +468,22 @@ CHANNELS = hst.one_of(
 @given(state=hst.sampled_from(START_STATES),
        ops=hst.lists(CHANNELS, min_size=1, max_size=3))
 def test_loss_and_map_compositions_keep_trace_and_positivity(state, ops):
+    # loss keeps the trace; a map loses only what it pushes past the cutoff
     for op in ops:
+        before = float(np.trace(state.matrix).real)
         try:
             if isinstance(op, ChannelSpec):
                 state = apply_loss(state, op)
+                kept = before
             else:
+                kept = float(mapped_photon_probs(state, op).sum())
                 state = apply_map(state, op)
         except TruncationError:
             assume(False)
+        assert -1e-12 <= before - kept <= MAP_TRUNCATION_LIMIT
+        assert float(np.trace(state.matrix).real) == pytest.approx(kept, abs=1e-12)
     rho = state.matrix
     trace = float(np.trace(rho).real)
-    assert 1.0 - state.tail_bound - 1e-10 <= trace <= 1.0 + 1e-10
+    assert trace <= 1.0 + 1e-10
     assert np.max(np.abs(rho - rho.conj().T)) <= 1e-12
     assert np.linalg.eigvalsh(rho)[0] >= -1e-12

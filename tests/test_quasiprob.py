@@ -4,9 +4,9 @@ import pytest
 import qng.fock
 import qng.quasiprob
 import qng.witness
-from qng.fock import (ChannelSpec, GaussianMapSpec, apply_loss, apply_map,
-                      make_coherent, make_displaced_squeezed, make_fock, make_pac,
-                      make_pss)
+from qng.fock import (ChannelSpec, GaussianMapSpec, TruncatedState, apply_loss,
+                      apply_map, make_coherent, make_displaced_squeezed,
+                      make_fock, make_pac, make_pss, mix, photon_probs)
 from qng.bounds import pure_bound
 from qng.quasiprob import (S_MIN, PureGaussianParam, qs_at, qs_fock, qs_origin,
                            qs_origin_error, qs_pure_gaussian)
@@ -44,6 +44,13 @@ def test_single_photon_wigner():
 def test_lossy_single_photon_wigner_zero():
     st = apply_loss(make_fock(1, 10), ChannelSpec(0.5))
     assert abs(qs_origin(st, 0)) < 1e-14
+
+
+@pytest.mark.parametrize("m", [1.5, -1, np.nan, np.inf])
+def test_fock_number_must_be_an_integer(m):
+    # qs_fock(1.5, -1) used to return -0j
+    with pytest.raises(ValueError, match="must be an integer >= 0"):
+        qs_fock(m, -1)
 
 
 def test_fock_closed_form_values():
@@ -169,8 +176,28 @@ def apply_map_calls(monkeypatch):
     pytest.param(make_fock(3, 20), id="fock"),
     pytest.param(apply_loss(make_pac(2.0, 60), ChannelSpec(0.4)), id="lossy-pac"),
     pytest.param(make_displaced_squeezed(0.5j, -0.3, 60), id="complex"),
+    # 1.6e-9 past cutoff 80, and 1.8e-9 more pushed past it by the map
+    pytest.param(make_pss(1.0, 80), id="built-tail"),
+    pytest.param(apply_map(apply_loss(make_pac(1.5, 80), ChannelSpec(0.3)),
+                           GaussianMapSpec(displacement=-3.0, squeeze=1.0)),
+                 id="mapped"),
+    pytest.param(mix([make_pss(1.0, 80), make_coherent(1 + 1j, 80)], [0.4, 0.6]),
+                 id="mixed"),
+    pytest.param(TruncatedState(np.diag([0.6, 0.4 - 5e-7, 0.0, 0.0])),
+                 id="caller-tail"),
+    pytest.param(TruncatedState(apply_loss(make_fock(1, 10),
+                                           ChannelSpec(0.5)).matrix),
+                 id="caller-lossy-fock"),
 ])
 @pytest.mark.parametrize("s", S_VALUES)
 def test_qs_origin_is_criterion_a_value(state, s):
-    # one series serves both: the origin value and the witness's q_value
-    assert qs_origin(state, s) == delta_a(state, s).q_value
+    # one series serves both: the origin value and the witness's q_value,
+    # and its truncation tail, the mass missing from the trace, is the one
+    # the verdict counts
+    rep = delta_a(state, s)
+    assert qs_origin(state, s) == rep.q_value
+    tail = qs_origin_error(state, s)
+    assert tail == qng.quasiprob._origin_series(photon_probs(state), s)[1]
+    assert tail == pytest.approx(state.tail_bound * 2 / (np.pi * (1 - s)),
+                                 rel=1e-6, abs=1e-15)
+    assert rep.conclusive == (rep.delta + tail < 0)

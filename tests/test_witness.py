@@ -346,12 +346,13 @@ def states_built(monkeypatch):
     trusted = qng.fock._trusted_state
 
     def counted(self):
-        built.append(self.cutoff)
         post_init(self)
+        built.append(self.cutoff)
 
-    def counted_trusted(cutoff, rho, tail_bound):
-        built.append(cutoff)
-        return trusted(cutoff, rho, tail_bound)
+    def counted_trusted(rho):
+        state = trusted(rho)
+        built.append(state.cutoff)
+        return state
 
     monkeypatch.setattr(TruncatedState, "__post_init__", counted)
     monkeypatch.setattr(qng.fock, "_trusted_state", counted_trusted)
