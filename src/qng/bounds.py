@@ -16,25 +16,36 @@ s = -1 it is the root of the cubic behind m_minus1_closed. At n = 0 the hull
 holds only the vacuum, and every bound here is its origin value 2/(pi(1-s))
 (bound_at_zero), written as the prefactor of the photon-number series of
 qng.quasiprob, so the vacuum's witness is exactly 0. Each public function
-checks its own s and n where they enter.
+checks its own s and n where they enter; n runs up to N_MAX = 1e70.
 
 build_bound_curve (the (n, bound, m_opt) rows of `qng bound-curve`) and the
 error bars of qng.error_model still tabulate the bounded minimization of the
-objective (_minimized_bound), whose m_opt is off by up to about 5e-7: their
-recorded outputs carry it. Rank-2 mixtures are searched separately to confirm
-they cannot undercut the pure-state bound at working precision.
+objective (_minimized_bound, on the n and s its callers have checked), whose
+m_opt is off by up to about 5e-7: their recorded outputs carry it. Where the
+bound is below the smallest normal float, the objective has underflowed and
+cannot steer the search, so pure_bound gives the row. Rank-2 mixtures are
+searched separately to confirm they cannot undercut the pure-state bound at
+working precision.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .quasiprob import _coerce_s, _pure_gaussian_origin
 
-NEWTON_MAX_STEPS = 64  # the descent from 2n+1 takes at most 17 on n <= 60, s >= -4
+# Largest mean photon number accepted. Up to it the |s| (2n)^4 terms of the
+# quartic stay finite for every s >= quasiprob.S_MIN, as does the Husimi cubic.
+N_MAX = 1e70
+# The descent from 2n+1 takes at most 17 steps on n <= 60, s >= -4; where the
+# quartic term leads it shrinks y by about 3/4 a step, and up to N_MAX it
+# takes at most 310 (at s = S_MIN).
+NEWTON_MAX_STEPS = 400
+_N_RANGE = f"n must be finite and >= 0, at most N_MAX = {N_MAX:g}"
 
 
 def bound_at_zero(s) -> float:
@@ -98,13 +109,13 @@ def pure_bound(n, s):
     sv = _coerce_s(s)
     if np.ndim(n):
         n = np.asarray(n, dtype=float)
-        if not np.all((n >= 0) & (n < np.inf)):
-            raise ValueError("n must be finite and >= 0")
+        if not np.all((n >= 0) & (n <= N_MAX)):  # NaN fails this too
+            raise ValueError(_N_RANGE)
         m = _stationary_split(n, sv)
         return np.where(n == 0, bound_at_zero(sv), bound_objective(m, n, sv)), m
     n = float(n)
-    if not 0.0 <= n < math.inf:
-        raise ValueError("n must be finite and >= 0")
+    if not 0.0 <= n <= N_MAX:
+        raise ValueError(f"{_N_RANGE}, got {n}")
     if n == 0:
         return bound_at_zero(sv), 0.0
     m = _stationary_split(n, sv)
@@ -181,21 +192,23 @@ def _fminbound(func, lo: float, hi: float, xatol: float) -> tuple[float, float]:
     return xf, fx
 
 
-def _minimized_bound(n: float, s) -> tuple[float, float]:
+def _minimized_bound(n: float, sv: float) -> tuple[float, float]:
     """pure_bound by bounded minimization of the objective over m in [0, n],
-    which overestimates the bound by up to about 3e-13 relative and m_opt by
-    up to about 5e-7. The tabulated bound curves and error bars read it."""
-    sv = _coerce_s(s)
-    if not 0.0 <= n < math.inf:
-        raise ValueError("n must be finite and >= 0")
+    for a checked n and s, which overestimates the bound by up to about 3e-13
+    relative and m_opt by up to about 5e-7. The tabulated bound curves and
+    error bars read it. Below the smallest normal float the objective has no
+    precision left to steer by (0.0 everywhere once it underflows), so
+    pure_bound answers there."""
     if n == 0:
         return bound_at_zero(sv), 0.0
     x, fun = _fminbound(lambda m: bound_objective(m, n, sv), 0.0, n,
                         xatol=1e-13 * max(1.0, n))
-    candidates = [(bound_objective(0.0, n, sv), 0.0),
-                  (bound_objective(n, n, sv), n),
-                  (float(fun), float(x))]
-    return min(candidates)
+    best = min((bound_objective(0.0, n, sv), 0.0),
+               (bound_objective(n, n, sv), n),
+               (float(fun), float(x)))
+    if best[0] < sys.float_info.min:
+        return pure_bound(n, sv)
+    return best
 
 
 def m_minus1_closed(n: float) -> float:
@@ -203,18 +216,20 @@ def m_minus1_closed(n: float) -> float:
 
     At s = -1, P(x) = -(x + 1)(x^3 + x^2 - (4n+3) x + 1), and in y = x - 1
     the cubic is y^3 + 4y^2 - (4n-2) y - 4n: one root in [0, 2n] and two
-    below -1/2. The trigonometric form gives those two to working precision,
-    the wanted root is 4n over their product (Vieta), with nothing to cancel
-    at small n, and one Newton step polishes it. m = y^2 / (4(1+y)), clamped
-    to [0, n].
+    below -1/2, all three from the trigonometric form. Below y = 1 (n = 7/8)
+    the wanted root is 4n over the product of the other two (Vieta), with
+    nothing to cancel at small n; from there on it is the form's own largest
+    root, since the root near -1 loses about 2 sqrt(n) ulps as n grows. One
+    Newton step polishes it. m = y^2 / (4(1+y)), clamped to [0, n].
     """
-    if not 0 <= n < math.inf:  # NaN fails this too
-        raise ValueError("n must be finite and >= 0")
+    if not 0 <= n <= N_MAX:  # NaN fails this too
+        raise ValueError(f"{_N_RANGE}, got {n}")
     p, q = -(4.0 * n + 10.0 / 3.0), 56.0 / 27.0 + 4.0 * n / 3.0  # of z = y + 4/3
     r = 2.0 * math.sqrt(-p / 3.0)
     phi = math.acos(max(-1.0, min(1.0, 3.0 * q / (p * r)))) / 3.0
-    y2, y3 = (r * math.cos(phi + k * 2.0 * math.pi / 3.0) - 4.0 / 3.0 for k in (1, -1))
-    y = 4.0 * n / (y2 * y3)
+    y1, y2, y3 = (r * math.cos(phi + k * 2.0 * math.pi / 3.0) - 4.0 / 3.0
+                  for k in (0, 1, -1))
+    y = y1 if y1 >= 1.0 else 4.0 * n / (y2 * y3)
     y -= ((((y + 4.0) * y - (4.0 * n - 2.0)) * y - 4.0 * n)
           / ((3.0 * y + 8.0) * y - (4.0 * n - 2.0)))
     return float(min(max(y * y / (4.0 * (1.0 + y)), 0.0), n))
@@ -242,8 +257,8 @@ def rank2_search(n: float, s) -> Rank2Candidate:
     candidate (n, n, p = 1) is always included.
     """
     sv = _coerce_s(s)
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    if not 0 <= n <= N_MAX / 100:  # n2 runs past 50 n; NaN fails this too
+        raise ValueError(f"n must be finite and >= 0, at most N_MAX / 100, got {n}")
     b_n = pure_bound(n, sv)[0]
     best = Rank2Candidate(n1=n, n2=n, p=1.0, value=b_n)
     if n == 0:
@@ -283,12 +298,13 @@ MAX_GRID_POINTS = 1_000_000  # longest grid a bound table or a CLI range may hol
 
 
 def _grid(n_max: float, step: float) -> np.ndarray:
-    """0, step, 2 step, ... up to n_max, for a finite step > 0 and a finite
-    n_max >= 0, refused above MAX_GRID_POINTS values."""
+    """0, step, 2 step, ... up to n_max, for a finite step > 0 and an n_max
+    in [0, N_MAX], refused above MAX_GRID_POINTS values."""
     if not 0 < step < math.inf:  # NaN fails this too
         raise ValueError(f"step must be finite and > 0, got {step}")
-    if not 0 <= n_max < math.inf:
-        raise ValueError(f"n_max must be finite and >= 0, got {n_max}")
+    if not 0 <= n_max <= N_MAX:
+        raise ValueError(f"n_max must be finite and >= 0, at most N_MAX = {N_MAX:g}, "
+                         f"got {n_max}")
     if (n_max + step / 2) / step > MAX_GRID_POINTS:
         raise ValueError(f"n_max / step exceeds {MAX_GRID_POINTS} grid points")
     return np.arange(0.0, n_max + step / 2, step)
@@ -302,9 +318,6 @@ def build_bound_curve(s, n_max: float, step: float) -> list[tuple]:
 
 @dataclass(frozen=True)
 class ConvexityReport:
-    s: float
-    n_max: float
-    step: float
     passed: bool
     first_violation: tuple[float, float, float] | None
     max_second_difference_deficit: float
@@ -330,7 +343,6 @@ def convexity_check(s, n_max: float, step: float,
         i = int(np.argmin(second))
         violation = (float(grid[i]), float(grid[i + 1]), float(grid[i + 2]))
     passed = violation is None and decreasing
-    return ConvexityReport(s=sv, n_max=n_max, step=step, passed=passed,
-                           first_violation=violation,
+    return ConvexityReport(passed=passed, first_violation=violation,
                            max_second_difference_deficit=max(deficit, 0.0),
                            strictly_decreasing=decreasing)

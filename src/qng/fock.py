@@ -385,6 +385,8 @@ def mix(states: list[TruncatedState], weights: list[float]) -> TruncatedState:
     """Convex mixture of states sharing one cutoff."""
     if len(states) != len(weights) or not states:
         raise ValueError("states and weights must be nonempty and equal-length")
+    if not all(map(math.isfinite, weights)):
+        raise ValueError(f"weights must be finite, got {weights}")
     if abs(sum(weights) - 1.0) > 1e-12 or min(weights) < 0:
         raise ValueError("weights must be a probability vector")
     if any(s.matrix.shape != states[0].matrix.shape for s in states):

@@ -11,8 +11,6 @@ have a closed form too (_family_origin).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import math
 
 import numpy as np
@@ -25,27 +23,8 @@ from .fock import (GaussianMapSpec, TruncatedState, _family_ladder,
 # stays finite: d = 1 + s(s-2-4m) below mean photon numbers of 1e70, the
 # sigma+- = (eps - s e^(-+2q)) / eta of criterion b and their product for
 # squeezes |q| <= 100 at any loss eps < 1 (eta >= 2^-53), and the hull-bound
-# quartic of qng.bounds (|s| (2n)^4 terms) below n = 1e70.
+# quartic of qng.bounds (|s| (2n)^4 terms) up to its n limit, bounds.N_MAX = 1e70.
 S_MIN = -1e6
-
-
-@dataclass(frozen=True)
-class PureGaussianParam:
-    """Pure Gaussian state by mean photon number and squeezing split.
-
-    n is the total mean photon number, m = sinh^2(r) the squeezed share
-    (so n - m = |alpha|^2), theta the displacement phase and phi the
-    squeezing phase.
-    """
-
-    n: float
-    m: float
-    theta: float = 0.0
-    phi: float = 0.0
-
-    def __post_init__(self):
-        if self.n < 0 or not 0 <= self.m <= self.n:
-            raise ValueError(f"need 0 <= m <= n, got m={self.m}, n={self.n}")
 
 
 def _coerce_s(s) -> float:
@@ -135,10 +114,14 @@ def _family_origin(kind: str, param: float, beta: complex, q: float, s):
                     + b * b * x * (1.0 + x_df)) / norm ** 2
 
 
-def qs_pure_gaussian(p: PureGaussianParam, s) -> float:
-    """Origin quasiprobability of the pure Gaussian state given by p."""
-    return float(_pure_gaussian_origin(p.n, p.m, _coerce_s(s),
-                                       np.cos(2.0 * p.theta - p.phi)))
+def qs_pure_gaussian(n: float, m: float, s, theta: float = 0.0,
+                     phi: float = 0.0) -> float:
+    """Origin quasiprobability of the pure Gaussian state with mean photon
+    number n, of which m = sinh^2(r) is the squeezed share (so n - m =
+    |alpha|^2), displacement phase theta and squeezing phase phi."""
+    if n < 0 or not 0 <= m <= n:  # NaN fails this too
+        raise ValueError(f"need 0 <= m <= n, got m={m}, n={n}")
+    return float(_pure_gaussian_origin(n, m, _coerce_s(s), np.cos(2.0 * theta - phi)))
 
 
 def qs_at(state: TruncatedState, s, alpha: complex) -> float:

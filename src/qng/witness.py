@@ -59,7 +59,6 @@ SCAN_POINTS = 200  # loss grid of the threshold scan
 
 @dataclass(frozen=True)
 class WitnessReport:
-    s: float
     q_value: float
     n_bar: float
     bound: float
@@ -128,8 +127,8 @@ def _report(sv: float, q_value: float, nbar: float, tail: float,
     form), so truncation can only make a witness less conclusive."""
     bound = pure_bound(nbar, sv)[0]
     delta = q_value - bound
-    return WitnessReport(s=sv, q_value=q_value, n_bar=nbar, bound=bound,
-                         delta=delta, conclusive=delta + tail < 0, map=gmap)
+    return WitnessReport(q_value=q_value, n_bar=nbar, bound=bound, delta=delta,
+                         conclusive=delta + tail < 0, map=gmap)
 
 
 def _photon_witness(p, s, nbar_slack: float,
@@ -173,6 +172,8 @@ def beta_opt(alpha: float, epsilon: float) -> complex:
     """Approximate optimal re-centering displacement for a lossy PAC state."""
     if not alpha >= 0:  # NaN fails this too
         raise ValueError(f"alpha must be >= 0, got {alpha}")
+    if not 0.0 <= epsilon <= 1.0:
+        raise ValueError(f"epsilon must be in [0, 1], got {epsilon}")
     return complex(-alpha * np.sqrt(1.0 - epsilon))
 
 

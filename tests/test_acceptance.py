@@ -17,7 +17,7 @@ from qng.error_model import normalized_bound_stats
 from qng.fock import (ChannelSpec, GaussianMapSpec, apply_loss, apply_map,
                       make_displaced_squeezed, make_fock, make_pss, mix,
                       moments)
-from qng.quasiprob import PureGaussianParam, qs_fock, qs_origin, qs_pure_gaussian
+from qng.quasiprob import qs_fock, qs_origin, qs_pure_gaussian
 from qng.witness import StateFamily, delta_a, epsilon_threshold, q_opt, \
     witness_at_loss
 
@@ -107,9 +107,9 @@ def test_criterion_07_quasiprob_equivalence():
             theta = 0.7
             alpha = np.sqrt(n - msq) * np.exp(1j * theta)
             st = make_displaced_squeezed(alpha, q, 140)
-            par = PureGaussianParam(n=n, m=msq, theta=theta, phi=0.0)
             for s in [0.0, -0.5, -1.0, -2.0]:
-                ok = ok and abs(qs_origin(st, s) - qs_pure_gaussian(par, s)) < 1e-7
+                pure = qs_pure_gaussian(n, msq, s, theta=theta, phi=0.0)
+                ok = ok and abs(qs_origin(st, s) - pure) < 1e-7
     verdict(7, "closed forms agree with matrix quasiprobabilities", ok)
 
 

@@ -2,14 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
-from qng.bounds import (_fminbound, _minimized_bound, bound_at_zero,
+from qng.bounds import (N_MAX, _fminbound, _minimized_bound, bound_at_zero,
                         bound_objective, build_bound_curve, convexity_check,
                         m_minus1_closed, pure_bound, rank2_search,
                         wigner_bound_closed)
-from qng.quasiprob import PureGaussianParam, _origin_series, qs_pure_gaussian
+from qng.quasiprob import S_MIN, _origin_series, qs_pure_gaussian
 
 S_VALUES = [-0.25, -0.5, -1.0, -2.0, -3.0]
 
@@ -79,18 +79,70 @@ def test_m_minus1_vacuum():
     assert m_minus1_closed(0) == 0.0
 
 
-def test_m_minus1_closed_to_working_precision():
-    # oracle: the root in [0, 2n] of y^3 + 4y^2 - (4n-2)y - 4n to 50 digits;
-    # the cube-root formula was off by 1e-4 relative at n = 1e-6
+def quartic_root_split(n: float, s: float):
+    """Oracle: m = y^2 / (4(1+y)) at the root in (0, 2n] of the quartic
+    P(1 + y) of pure_bound, by bisection at 60 digits (P(1) > 0 >= P(1+2n))."""
     mpmath = pytest.importorskip("mpmath")
-    with mpmath.workdps(50):
-        for n in np.concatenate([np.logspace(-6, np.log10(60), 200),
-                                 [0.0078125, 1e-3]]):
-            nm = mpmath.mpf(float(n))
-            y = mpmath.findroot(lambda y: y**3 + 4 * y**2 - (4 * nm - 2) * y - 4 * nm,
-                                (mpmath.mpf(0), 2 * nm), solver="anderson")
-            m = y**2 / (4 * (1 + y))
-            assert abs(m_minus1_closed(float(n)) - m) <= 1e-15 * m
+    with mpmath.workdps(60):
+        nm, sm = mpmath.mpf(n), mpmath.mpf(s)
+        c3, c2 = 4 * sm - 2, 4 * nm - 4 + 6 * sm
+        c1, c0 = 8 * nm - 2 + 2 * sm - 4 * nm * sm, 4 * nm * (1 - sm)
+        lo, hi = mpmath.mpf(0), 2 * nm
+        while hi - lo > mpmath.mpf(10) ** -52 * hi:
+            y = (lo + hi) / 2
+            if (((sm * y + c3) * y + c2) * y + c1) * y + c0 > 0:
+                lo = y
+            else:
+                hi = y
+        y = (lo + hi) / 2
+        return y * y / (4 * (1 + y))
+
+
+HUGE_N = np.concatenate([np.logspace(1, 70, 24), [N_MAX]])
+
+
+def test_m_minus1_closed_to_working_precision():
+    # oracle: the root in [0, 2n] of y^3 + 4y^2 - (4n-2)y - 4n at 60 digits,
+    # which is the quartic's root at s = -1; the cube-root formula was off by
+    # 1e-4 relative at n = 1e-6, and Vieta's form by a factor 4 at n = 1e30
+    for n in np.concatenate([np.logspace(-6, np.log10(60), 200),
+                             [0.0078125, 1e-3, 0.875], HUGE_N]):
+        m = quartic_root_split(float(n), -1.0)
+        assert abs(m_minus1_closed(float(n)) - m) <= 1e-15 * m
+
+
+@pytest.mark.parametrize("s", [S_MIN, -1e3, -4.0, -1.0, -0.3, -1e-3, -1e-9, 0.0])
+def test_newton_root_to_working_precision_up_to_the_n_limit(s):
+    # 64 Newton steps gave m_opt 6.20e7 at n = 1e16, s = -1 (root 5.00e7);
+    # the descent needs about 1.74 ln n steps, 310 at N_MAX and S_MIN
+    n = np.concatenate([np.logspace(-6, np.log10(60), 12), HUGE_N])
+    m_opt = pure_bound(n, s)[1]
+    for i, v in enumerate(n.tolist()):
+        m = quartic_root_split(v, s)
+        assert abs(m_opt[i] - m) <= 2e-15 * m
+        assert pure_bound(v, s)[1] == m_opt[i]
+
+
+@pytest.mark.parametrize("table", [
+    lambda n: pure_bound(n, -1), lambda n: pure_bound(np.array([1.0, n]), -1),
+    m_minus1_closed])
+@pytest.mark.parametrize("n", [np.nextafter(N_MAX, np.inf), 1e80, 1e300])
+def test_n_above_the_limit_refused(table, n):
+    # past about 1e77 the (2n)^4 term overflowed: pure_bound(1e80, -1) was
+    # (nan, nan) with no warning, and m_minus1_closed(1e80) was 0.333
+    with pytest.raises(ValueError, match="n must be finite and >= 0, at most N_MAX"):
+        table(n)
+
+
+def test_n_limit_refused_by_the_tables():
+    # convexity_check reported a NaN deficit and rank2_search raised numpy's
+    # "All-NaN slice encountered"; a bound curve is refused before any row
+    for table in (convexity_check, build_bound_curve):
+        with pytest.raises(ValueError, match="^n_max must be .* at most N_MAX"):
+            table(-1, 1e80, 1e78)
+    for n in (1e69, 1e79):  # n2 runs past 50 n
+        with pytest.raises(ValueError, match="^n must be .* at most N_MAX / 100"):
+            rank2_search(n, -1)
 
 
 def test_pure_bound_against_dense_grid():
@@ -126,8 +178,7 @@ def test_extremal_phase_choice_by_sampling():
             m = rng.uniform(0, n)
             worst = bound_objective(m, n, s)
             theta, phi = rng.uniform(0, 2 * np.pi, 2)
-            p = PureGaussianParam(n=n, m=m, theta=theta, phi=phi)
-            assert qs_pure_gaussian(p, s) >= worst - 1e-12
+            assert qs_pure_gaussian(n, m, s, theta, phi) >= worst - 1e-12
 
 
 class TestRank2:
@@ -205,8 +256,8 @@ def test_bound_objective_is_extremal_phase_pure_gaussian():
     for s in [0.0, -0.5, -1.0, -3.0]:
         for n in [0.0, 0.3, 1.0, 4.5, 20.0]:
             for m in np.linspace(0.0, n, 9):
-                par = PureGaussianParam(n, m, np.pi / 2, 0.0)
-                assert bound_objective(m, n, s) == qs_pure_gaussian(par, s)
+                assert bound_objective(m, n, s) == \
+                    qs_pure_gaussian(n, m, s, np.pi / 2, 0.0)
 
 
 @settings(max_examples=400, deadline=None)
@@ -220,10 +271,13 @@ def test_pure_bound_convex_and_strictly_decreasing_property(n, s):
 
 def assert_near_minimizer(n, s):
     """pure_bound against the bounded minimization, within 1e-12 relative
-    (the absolute floor covers bounds that underflow at s near 0)."""
+    (the absolute floor covers bounds that underflow at s near 0), and its
+    m_opt within 1e-6 max(1, n) (where the bound underflows, the minimizer
+    hands over to pure_bound: before, its search stopped anywhere)."""
     bound, m_opt = pure_bound(n, s)
-    oracle = _minimized_bound(n, s)[0]
+    oracle, oracle_m = _minimized_bound(n, s)
     assert abs(bound - oracle) <= 1e-12 * oracle + 1e-300
+    assert abs(m_opt - oracle_m) <= 1e-6 * max(1.0, n)
     assert 0.0 <= m_opt <= n
 
 
@@ -243,6 +297,8 @@ def test_pure_bound_matches_minimizer_on_random_points():
 
 @settings(max_examples=300, deadline=None)
 @given(n=hst.floats(0, 60), s=hst.floats(-4, 0))
+@example(n=48.79, s=-0.012)  # underflowed: the minimizer gave m_opt 37.28, not 16.91
+@example(n=18.8, s=0.0)  # subnormal: 8.845, not 9.156
 def test_pure_bound_exact_property(n, s):
     assert_near_minimizer(n, s)
     bound, m_opt = pure_bound(n, s)

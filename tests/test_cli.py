@@ -1,6 +1,7 @@
 import argparse
 import hashlib
 import inspect
+import sys
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 import qng.cli
 import qng.error_model
 import qng.witness
+from qng.bounds import pure_bound
 from qng.cli import MAX_CUTOFF, build_parser, main
 from qng.quasiprob import S_MIN
 from qng.witness import StateFamily, witness_at_loss
@@ -37,6 +39,28 @@ class TestBoundCurve:
             n, b, _ = (float(v) for v in line.split(","))
             assert b == pytest.approx(2 / np.pi * np.exp(-2 * n * (1 + n)),
                                       abs=1e-9)
+
+    @pytest.mark.parametrize("argv,underflowed", [
+        ("--s -1 --n-max 1000 --step 250", [500.0, 750.0, 1000.0]),
+        ("--s 0 --n-max 30 --step 10", [20.0, 30.0]),
+    ])
+    def test_m_opt_where_the_bound_underflows(self, argv, underflowed, capsys):
+        # the minimizer's objective is 0.0 there, and it printed m_opt 118.03
+        # at n = 500 and 0 at n = 750, 1000 (s = -1), 7.639 and 22.918 at
+        # n = 20, 30 (s = 0), where the roots are 10.570, 13.080, 15.197 and
+        # n^2 / (2n + 1) = 9.756, 14.754
+        code, out = run_cli(["bound-curve", *argv.split()], capsys)
+        assert code == 0
+        rows = [[float(v) for v in line.split(",")] for line in out.split()[1:]]
+        assert [n for n, bound, _ in rows if bound < sys.float_info.min] == underflowed
+        s = float(argv.split()[1])
+        for n, _, m_opt in rows:
+            exact = pure_bound(n, s)[1]
+            assert abs(m_opt - exact) <= 1e-6 * max(1.0, n)
+            if n in underflowed:
+                assert m_opt == pytest.approx(exact, rel=1e-9)
+                if s == 0:
+                    assert m_opt == pytest.approx(n * n / (2 * n + 1), rel=1e-15)
 
     def test_positive_s_rejected(self, capsys):
         code, _ = run_cli(["bound-curve", "--s", "0.5", "--n-max", "1",
@@ -297,6 +321,7 @@ def test_huge_grid_rejected(args, capsys):
     (["bound-curve", "--s", "-1", "--n-max", "nan", "--step", "0.1"], "n_max"),
     (["bound-curve", "--s", "-1", "--n-max", "inf", "--step", "0.1"], "n_max"),
     (["bound-curve", "--s", "-1", "--n-max", "-1", "--step", "0.1"], "n_max"),
+    (["bound-curve", "--s", "-1", "--n-max", "1e80", "--step", "1e78"], "n_max"),
     (["bound-curve", "--s", "-1", "--n-max", "1", "--step", "nan"], "step"),
     (["bound-curve", "--s", "-1", "--n-max", "1", "--step", "inf"], "step"),
     (["bound-curve", "--s", "-1", "--n-max", "1", "--step", "0"], "step"),
@@ -304,7 +329,8 @@ def test_huge_grid_rejected(args, capsys):
     (["error-bars", "--s", "-1", "--n-avg", "inf"], "n_avg"),
     (["error-bars", "--s", "-1", "--n-avg", "-0.5"], "n_avg"),
     (["error-bars", "--s", "-1", "--n-avg", "1", "--k", "0"], "k"),
-], ids=["n-max-nan", "n-max-inf", "n-max-negative", "step-nan", "step-inf",
+], ids=["n-max-nan", "n-max-inf", "n-max-negative", "n-max-above-limit",
+        "step-nan", "step-inf",
         "step-zero", "n-avg-nan", "n-avg-inf", "n-avg-negative", "k-zero"])
 def test_bad_number_named_in_its_own_error(args, name, capsys):
     # these used to print numpy's "arange: cannot compute length" or a

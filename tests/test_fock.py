@@ -454,6 +454,15 @@ def test_mix_rejects_bad_weights():
         mix([a, a], [0.6, 0.6])
 
 
+@pytest.mark.parametrize("w", [math.nan, math.inf])
+def test_mix_rejects_non_finite_weight(w):
+    # a NaN weight passed the sum and sign checks and failed later, with
+    # "trace nan exceeds 1"
+    a = make_fock(0, 10)
+    with pytest.raises(ValueError, match="weights must be finite"):
+        mix([a, a], [w, 1.0])
+
+
 START_STATES = [make_fock(2, 60), make_pac(1.0, 60), make_pss(0.4, 60),
                 make_coherent(0.5 + 0.5j, 60)]
 CHANNELS = hst.one_of(

@@ -8,8 +8,8 @@ from qng.fock import (ChannelSpec, GaussianMapSpec, TruncatedState, apply_loss,
                       apply_map, make_coherent, make_displaced_squeezed,
                       make_fock, make_pac, make_pss, mix, photon_probs)
 from qng.bounds import pure_bound
-from qng.quasiprob import (S_MIN, PureGaussianParam, qs_at, qs_fock, qs_origin,
-                           qs_origin_error, qs_pure_gaussian)
+from qng.quasiprob import (S_MIN, qs_at, qs_fock, qs_origin, qs_origin_error,
+                           qs_pure_gaussian)
 from qng.witness import StateFamily, delta_a, witness_at_loss
 
 S_VALUES = [0.0, -0.25, -0.5, -1.0, -2.0, -3.0]
@@ -68,22 +68,19 @@ def test_fock_matrix_equivalence(s):
 
 
 def test_pure_gaussian_vacuum():
-    p = PureGaussianParam(n=0, m=0)
-    assert qs_pure_gaussian(p, -1) == pytest.approx(1 / np.pi, rel=1e-14)
+    assert qs_pure_gaussian(0, 0, -1) == pytest.approx(1 / np.pi, rel=1e-14)
 
 
 def test_pure_gaussian_full_squeezing():
     # exponent vanishes at n = m
     s = -0.7
-    p = PureGaussianParam(n=2, m=2)
     expected = 2 / (np.pi * np.sqrt(1 + s * (s - 2 - 8)))
-    assert qs_pure_gaussian(p, s) == pytest.approx(expected, rel=1e-14)
+    assert qs_pure_gaussian(2, 2, s) == pytest.approx(expected, rel=1e-14)
 
 
 def test_pure_gaussian_displaced_only():
-    p = PureGaussianParam(n=1, m=0, theta=np.pi / 2, phi=0)
-    assert qs_pure_gaussian(p, 0) == pytest.approx(2 / np.pi * np.exp(-2),
-                                                   rel=1e-12)
+    assert qs_pure_gaussian(1, 0, 0, theta=np.pi / 2, phi=0) == pytest.approx(
+        2 / np.pi * np.exp(-2), rel=1e-12)
 
 
 def test_pure_gaussian_matrix_equivalence_grid():
@@ -95,15 +92,17 @@ def test_pure_gaussian_matrix_equivalence_grid():
             for theta in [0.0, 1.1, np.pi / 2]:
                 alpha = np.sqrt(n - m) * np.exp(1j * theta)
                 st = make_displaced_squeezed(alpha, q, 140)
-                p = PureGaussianParam(n=n, m=m, theta=theta, phi=0)
                 for s in [0, -0.5, -1, -2]:
                     assert qs_origin(st, s) == pytest.approx(
-                        qs_pure_gaussian(p, s), abs=1e-7)
+                        qs_pure_gaussian(n, m, s, theta=theta, phi=0), abs=1e-7)
 
 
-def test_pure_gaussian_invariant_bounds():
-    with pytest.raises(ValueError):
-        PureGaussianParam(n=1, m=1.5)
+@pytest.mark.parametrize("n,m", [(1, 1.5), (1, -0.5), (-1, -1), (1, np.nan),
+                                 (np.nan, 0.5), (np.nan, np.nan)])
+def test_pure_gaussian_invariant_bounds(n, m):
+    # the squeezed share m must lie in [0, n]; NaN is refused as well
+    with pytest.raises(ValueError, match=r"need 0 <= m <= n"):
+        qs_pure_gaussian(n, m, -1)
 
 
 def test_husimi_positivity():

@@ -646,6 +646,13 @@ class TestSeeds:
             with pytest.raises(ValueError, match="need r >= 0"):
                 q_opt(r, eps)
 
+    @pytest.mark.parametrize("eps", [2.0, -0.5, np.nan])
+    def test_beta_opt_rejects_loss_outside_unit_interval(self, eps):
+        # beta_opt(1.0, 2.0) took the square root of -1 and beta_opt(1.0, -0.5)
+        # returned -1.22, as q_opt refuses both
+        with pytest.raises(ValueError, match="epsilon must be in"):
+            beta_opt(1.0, eps)
+
     @pytest.mark.parametrize("r", [0.0, 0.3, 0.5, 1.0])
     @pytest.mark.parametrize("eps", [0.2, 0.5, 0.8])
     def test_q_opt_minimizes_matrix_photon_number(self, r, eps):
