@@ -344,5 +344,5 @@ def convexity_check(s, n_max: float, step: float,
         violation = (float(grid[i]), float(grid[i + 1]), float(grid[i + 2]))
     passed = violation is None and decreasing
     return ConvexityReport(passed=passed, first_violation=violation,
-                           max_second_difference_deficit=max(deficit, 0.0),
+                           max_second_difference_deficit=max(0.0, deficit),
                            strictly_decreasing=decreasing)

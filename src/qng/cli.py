@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import re
 import sys
 from functools import cache
@@ -17,18 +16,14 @@ from .bounds import MAX_GRID_POINTS, build_bound_curve
 from .error_model import normalized_bound_stats
 from .fock import TruncationError
 from .quasiprob import _coerce_s
-from .witness import StateFamily, epsilon_threshold, witness_curve
+from .witness import DEFAULT_CUTOFF, StateFamily, epsilon_threshold, witness_curve
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
-# Largest --cutoff: one d x d float64 state is 134 MB at d = 4097. Far above
-# it the arrays may be allocated lazily and the process killed from outside,
-# so running out of memory cannot be reported as a numerical failure.
+# Largest --cutoff. No command builds a d x d state: it bounds the guard's O(cutoff)
+# amplitude loop (fock._member_vector), about 1.3 ms at 4096 on a 2-core x86-64.
 MAX_CUTOFF = 4096
-# The --cutoff default. argparse converts a string default on every parse, so
-# the cutoff type reads QNG_DEFAULT_CUTOFF per call, not when the parser is built.
-_CUTOFF_FROM_ENV = "$QNG_DEFAULT_CUTOFF"
 
 
 def _fmt(x) -> str:
@@ -164,8 +159,6 @@ def build_parser() -> argparse.ArgumentParser:
     pb.set_defaults(func=cmd_bound_curve)
 
     def cutoff(text: str) -> int:
-        if text is _CUTOFF_FROM_ENV:
-            text = os.environ.get("QNG_DEFAULT_CUTOFF", "80")
         try:
             value = int(text)
         except ValueError:
@@ -186,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="PSS squeezing or range lo..hi")
         p.add_argument("--s", required=True,
                        help="comma-separated ordering parameters, all <= 0")
-        p.add_argument("--cutoff", type=cutoff, default=_CUTOFF_FROM_ENV)
+        p.add_argument("--cutoff", type=cutoff, default=DEFAULT_CUTOFF)
         p.add_argument("--out", default=None)
 
     pt = sub.add_parser("threshold", help="scan loss thresholds per family")

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -139,23 +140,28 @@ def _trusted_state(rho: np.ndarray) -> TruncatedState:
     return state
 
 
-def _check_fits(cutoff: int, psi: np.ndarray, what: str) -> None:
-    """Refuse psi unless levels 0..cutoff keep all but TRUNCATION_LIMIT of its
-    norm: a kept norm above 1 means the amplitudes cancelled in floating point
-    (a PSS r of about 100 or more), and no cutoff holds that state either."""
+def _check_cutoff(cutoff) -> None:
+    """Refuse a cutoff that is not an integer >= 1, before any amplitude."""
+    if not (isinstance(cutoff, numbers.Integral) and cutoff >= 1):
+        raise ValueError(f"cutoff must be an integer >= 1, got {cutoff!r}")
+
+
+def _check_fits(psi: np.ndarray, what: str) -> None:
+    """Refuse psi unless its levels 0..psi.size - 1 keep all but TRUNCATION_LIMIT
+    of its norm: a kept norm above 1 means the amplitudes cancelled in floating
+    point (a PSS r of about 100 or more), and no cutoff holds that state either."""
+    cutoff = psi.size - 1
     norm = float(np.sum(np.abs(psi) ** 2))
     if norm > 1.0 + TRACE_TOL:
         raise TruncationError(f"cutoff {cutoff} keeps norm {norm:.3e} > 1 for {what}")
     tail = max(0.0, 1.0 - norm)
     if tail >= TRUNCATION_LIMIT:
         raise TruncationError(f"cutoff {cutoff} leaves tail {tail:.3e} for {what}")
-    if cutoff < 1:
-        raise ValueError("cutoff must be >= 1")
 
 
-def _state_from_vector(cutoff: int, psi: np.ndarray, what: str) -> TruncatedState:
-    """Pure state |psi><psi|, once psi fits the cutoff."""
-    _check_fits(cutoff, psi, what)
+def _state_from_vector(psi: np.ndarray, what: str) -> TruncatedState:
+    """Pure state |psi><psi|, once psi fits its cutoff."""
+    _check_fits(psi, what)
     return _trusted_state(np.outer(psi, psi.conj()))
 
 
@@ -163,6 +169,7 @@ def _member_vector(kind: str, param, cutoff: int) -> tuple[np.ndarray, str]:
     """Amplitudes on levels 0..cutoff of the Fock state |param> or of the PAC
     or PSS state of _family_ladder, and the state's name for error messages;
     a Fock state past the cutoff raises TruncationError."""
+    _check_cutoff(cutoff)
     if kind == "fock":
         if param > cutoff:
             raise TruncationError(
@@ -183,23 +190,23 @@ def _fock_number(m) -> int:
 
 def make_fock(m: int, cutoff: int) -> TruncatedState:
     """Fock state |m><m|."""
-    return _state_from_vector(cutoff, *_member_vector("fock", _fock_number(m), cutoff))
+    return _state_from_vector(*_member_vector("fock", _fock_number(m), cutoff))
 
 
 def make_coherent(alpha: complex, cutoff: int) -> TruncatedState:
     """Coherent state |alpha>, truncated at the given cutoff."""
-    return _state_from_vector(cutoff, displaced_squeezed_vector(alpha, 0.0, cutoff),
+    return _state_from_vector(displaced_squeezed_vector(alpha, 0.0, cutoff),
                               f"|alpha|={abs(alpha):.3g}")
 
 
 def make_pac(alpha: float, cutoff: int) -> TruncatedState:
     """Photon-added coherent state, normalized a^dag |alpha>."""
-    return _state_from_vector(cutoff, *_member_vector("pac", alpha, cutoff))
+    return _state_from_vector(*_member_vector("pac", alpha, cutoff))
 
 
 def make_squeezed(r: float, cutoff: int) -> TruncatedState:
     """Squeezed vacuum S(r)|0>."""
-    return _state_from_vector(cutoff, displaced_squeezed_vector(0.0, r, cutoff),
+    return _state_from_vector(displaced_squeezed_vector(0.0, r, cutoff),
                               f"squeezed vacuum r={r:.3g}")
 
 
@@ -207,7 +214,7 @@ def make_pss(r: float, cutoff: int) -> TruncatedState:
     """Photon-subtracted squeezed state, normalized a S(r)|0> = sinh r S(r)|1>."""
     if r < 0:
         raise ValueError("r must be >= 0")
-    return _state_from_vector(cutoff, *_member_vector("pss", r, cutoff))
+    return _state_from_vector(*_member_vector("pss", r, cutoff))
 
 
 def _family_ladder(kind: str, param: float, beta: complex, q: float):
@@ -257,7 +264,7 @@ def _family_vector(kind: str, param: float, cutoff: int,
 
 def make_displaced_squeezed(beta: complex, q: float, cutoff: int) -> TruncatedState:
     """Pure Gaussian state D(beta) S(q) |0> on the truncated basis."""
-    return _state_from_vector(cutoff, displaced_squeezed_vector(beta, q, cutoff),
+    return _state_from_vector(displaced_squeezed_vector(beta, q, cutoff),
                               f"beta={beta}, q={q}")
 
 
@@ -270,6 +277,7 @@ def displaced_squeezed_vector(beta: complex, q: float, cutoff: int) -> np.ndarra
     magnitude (0.0 past |beta| ~ 38) and exact rescalings enter per term as logs.
     The amplitudes are real, and returned as float64, when beta is real.
     """
+    _check_cutoff(cutoff)
     beta = complex(beta)
     if not (cmath.isfinite(beta) and math.isfinite(q)):
         raise ValueError(f"beta and q must be finite, got beta={beta}, q={q}")

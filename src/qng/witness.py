@@ -22,7 +22,7 @@ the identity and s2 = -(eps - s)/eta, on an array of losses too: for |m> the
 value is 2/(pi(1-s)) x^m, x = eps - eta (1+s)/(1-s), and at full loss every
 state is the vacuum, 2/(pi(1-s)). n_bar comes from the closed moments
 (StateFamily.moments). A public call's cutoff only refuses what
-StateFamily.build(cutoff) refuses, from the member's amplitudes alone.
+make_<kind>(param, cutoff) refuses, from the member's amplitudes alone.
 
 Photon numbers serve only a caller's state (delta_a, delta_b): the origin
 series of quasiprob._origin_series, with its truncation tail
@@ -31,10 +31,11 @@ wherever it sits. nbar_slack, which only delta_a and delta_b take, is the
 caller's allowance for the mean photon number that a truncated state leaves
 out; the tail mass does not bound it.
 
-The public functions check their inputs once, before the cutoff is guarded,
-and the evaluators under them take checked floats. A threshold's scan
+The public functions check their inputs once, before the cutoff is guarded
+(fock._member_vector refuses a cutoff that is not an integer >= 1), and the
+evaluators under them take checked floats. A threshold's scan
 and bisection run through one evaluator, which takes the whole scan grid as
-one array when every scan point is criterion a. Every verdict is _report's:
+one array under criterion a and for a Fock state. Every verdict is _report's:
 delta + tail < 0, where tail is 0 for a closed form, so truncation never
 makes a witness conclusive. Criterion-b reports are cached per loss value,
 so the refined map's report is reused.
@@ -50,11 +51,11 @@ import numpy as np
 
 from .bounds import _fminbound, pure_bound
 from .fock import (ChannelSpec, GaussianMapSpec, TruncatedState, TruncationError,
-                   _check_fits, _member_vector, _state_from_vector,
-                   mapped_photon_probs, photon_probs)
+                   _check_fits, _member_vector, mapped_photon_probs, photon_probs)
 from .quasiprob import _coerce_s, _family_origin, _origin_series
 
 SCAN_POINTS = 200  # loss grid of the threshold scan
+DEFAULT_CUTOFF = 80  # the cutoff a family member is guarded at
 
 
 @dataclass(frozen=True)
@@ -83,13 +84,6 @@ class StateFamily:
         if self.kind == "fock" and self.param != int(self.param):
             raise ValueError(f"{name} must be an integer, got {self.param}")
 
-    def build(self, cutoff: int) -> TruncatedState:
-        return _state_from_vector(cutoff, *self._amplitudes(cutoff))
-
-    def _amplitudes(self, cutoff: int) -> tuple[np.ndarray, str]:
-        param = int(self.param) if self.kind == "fock" else self.param
-        return _member_vector(self.kind, param, cutoff)
-
     def moments(self) -> tuple[float, complex, complex]:
         """Closed-form (mean photon number, <a>, <a^2>), with no cutoff."""
         p, a2 = self.param, self.param ** 2
@@ -104,9 +98,10 @@ class StateFamily:
 
 
 def _guard(family: StateFamily, cutoff: int) -> None:
-    """Refuse what family.build(cutoff) refuses, with the same exception and
-    message: the same amplitudes and checks, with no density matrix."""
-    _check_fits(cutoff, *family._amplitudes(cutoff))
+    """Refuse what make_<kind>(param, cutoff) refuses, with the same exception
+    and message: the same amplitudes and checks, with no density matrix."""
+    param = int(family.param) if family.kind == "fock" else family.param
+    _check_fits(*_member_vector(family.kind, param, cutoff))
 
 
 @dataclass(frozen=True)
@@ -296,18 +291,18 @@ def _witness(family: StateFamily, sv: float, eps, criterion: str) -> WitnessRepo
 
 
 def witness_at_loss(family: StateFamily, s, epsilon: float, criterion: str,
-                    cutoff: int = 80) -> WitnessReport:
+                    cutoff: int = DEFAULT_CUTOFF) -> WitnessReport:
     """Witness value of a family member after loss, map-optimized for 'b'.
 
     The value is a closed form; cutoff only refuses (TruncationError) a
-    family member that does not fit it, as family.build(cutoff) would."""
+    family member that does not fit it, as make_<kind>(param, cutoff) would."""
     sv, eps = _checked(s, criterion), ChannelSpec(epsilon).epsilon
     _guard(family, cutoff)
     return _witness(family, sv, eps, criterion)
 
 
 def witness_curve(family: StateFamily, s_values, eps_values, criterion: str,
-                  cutoff: int = 80) -> np.ndarray:
+                  cutoff: int = DEFAULT_CUTOFF) -> np.ndarray:
     """Deltas of witness_at_loss at every (eps_values[i], s_values[j]), as an
     array indexed [i, j], with the inputs checked and the cutoff guarded once.
 
@@ -327,15 +322,16 @@ def witness_curve(family: StateFamily, s_values, eps_values, criterion: str,
 
 
 def epsilon_threshold(family: StateFamily, s, criterion: str = "a",
-                      tol: float = 1e-5, cutoff: int = 80) -> ThresholdResult:
+                      tol: float = 1e-5,
+                      cutoff: int = DEFAULT_CUTOFF) -> ThresholdResult:
     """Largest loss at which the witness stays conclusive.
 
     Returns sentinel "one" when still conclusive at epsilon = 1 - tol and
     "none" when inconclusive everywhere on the SCAN_POINTS grid. The conclusive
     region can start away from epsilon = 0 (even Fock states have a positive
     parity at zero loss), so the scan walks down from high loss and bisects
-    the topmost sign change. Where every scan point is criterion a (criterion
-    a, or identity seeds), the scan is one array evaluation.
+    the topmost sign change. Under criterion a, and criterion b of a Fock
+    state (whose seed map is the identity), the scan is one array evaluation.
     """
     sv = _checked(s, criterion)
     # above 0.5 the grid tol..1-tol would run from high loss to low loss
@@ -343,7 +339,7 @@ def epsilon_threshold(family: StateFamily, s, criterion: str = "a",
         raise ValueError(f"tol must be in [1e-6, 0.5], got {tol}")
     _guard(family, cutoff)
     grid = np.linspace(tol, 1.0 - tol, SCAN_POINTS)
-    batch = criterion == "a" or all(_seed_map(family, e).is_identity for e in grid)
+    batch = criterion == "a" or family.kind == "fock"  # a Fock seed is the identity
     scan_criterion = "a" if batch else criterion
 
     def holds(eps):

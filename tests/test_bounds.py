@@ -212,6 +212,12 @@ class TestConvexity:
         with pytest.raises(ValueError):
             convexity_check(-1, 10, 0)
 
+    def test_deficit_is_positive_zero(self):
+        # the grid reaches the underflowed bound, so the smallest second
+        # difference is exactly 0 and the deficit, its negation, is -0.0
+        deficit = convexity_check(0, 30, 0.1).max_second_difference_deficit
+        assert deficit == 0.0 and math.copysign(1.0, deficit) == 1.0
+
     @pytest.mark.parametrize("tol", [np.nan, -1.0])
     def test_bad_tol_rejected(self, tol):
         # a NaN tol used to pass every grid

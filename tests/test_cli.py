@@ -116,20 +116,16 @@ class TestThreshold:
                      "--cutoff", cutoff]) == 2
         assert "--cutoff" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("argv,env", [
-        (["--cutoff", str(MAX_CUTOFF + 1)], None),
-        (["--cutoff", "1000000000"], None),
-        ([], str(MAX_CUTOFF + 1)),
-    ], ids=["flag", "huge-flag", "env"])
-    def test_cutoff_above_ceiling_rejected(self, monkeypatch, capsys, argv,
-                                           env):
+    @pytest.mark.parametrize("argv", [
+        ["--cutoff", str(MAX_CUTOFF + 1)],
+        ["--cutoff", "1000000000"],
+    ], ids=["flag", "huge-flag"])
+    def test_cutoff_above_ceiling_rejected(self, monkeypatch, capsys, argv):
         # a huge cutoff used to be killed from outside instead of exiting 3
         def no_guard(family, cutoff):
             raise AssertionError(f"family guarded at cutoff {cutoff}")
 
         monkeypatch.setattr(qng.witness, "_guard", no_guard)
-        if env is not None:
-            monkeypatch.setenv("QNG_DEFAULT_CUTOFF", env)
         assert main(["threshold", "--family", "fock", "--m", "1", "--s", "0",
                      *argv]) == 2
         captured = capsys.readouterr()
@@ -465,25 +461,15 @@ def test_17_significant_digits(capsys):
     assert len(value.replace(".", "").replace("-", "").lstrip("0")) >= 16
 
 
-def test_default_cutoff_env(monkeypatch):
-    monkeypatch.setenv("QNG_DEFAULT_CUTOFF", "64")
+@pytest.mark.parametrize("env", ["0", "abc", str(MAX_CUTOFF + 1)])
+def test_default_cutoff_ignores_the_environment(monkeypatch, env):
+    # --cutoff is the one way to set the cutoff; the environment is not read
     from qng.cli import build_parser
-    parser = build_parser()
-    args = parser.parse_args(["threshold", "--family", "fock", "--m", "1",
-                              "--s", "0"])
-    assert args.cutoff == 64
-
-
-def test_default_cutoff_env_not_integer(monkeypatch, capsys):
-    monkeypatch.setenv("QNG_DEFAULT_CUTOFF", "abc")
-    assert main(["threshold", "--family", "fock", "--m", "1", "--s", "0"]) == 2
-    assert "--cutoff" in capsys.readouterr().err
-
-
-def test_default_cutoff_env_below_one(monkeypatch, capsys):
-    monkeypatch.setenv("QNG_DEFAULT_CUTOFF", "0")
-    assert main(["threshold", "--family", "fock", "--m", "1", "--s", "0"]) == 2
-    assert "--cutoff" in capsys.readouterr().err
+    monkeypatch.setenv("QNG_DEFAULT_CUTOFF", env)
+    argv = ["threshold", "--family", "fock", "--m", "1", "--s", "0"]
+    assert build_parser() is build_parser()  # built once per process
+    assert build_parser().parse_args(argv).cutoff == 80
+    assert main(argv) == 0
 
 
 @pytest.mark.parametrize("argv", [
@@ -497,21 +483,6 @@ def test_flag_error_is_one_line(capsys, argv):
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
-
-
-def test_default_cutoff_env_read_on_each_call(monkeypatch, capsys):
-    # the parser is built once per process; its --cutoff default is not
-    from qng.cli import build_parser
-    argv = ["threshold", "--family", "fock", "--m", "1", "--s", "0"]
-    assert build_parser() is build_parser()
-    monkeypatch.setenv("QNG_DEFAULT_CUTOFF", "0")
-    assert main(argv) == 2
-    assert "--cutoff" in capsys.readouterr().err
-    monkeypatch.setenv("QNG_DEFAULT_CUTOFF", "7")
-    assert build_parser().parse_args(argv).cutoff == 7
-    assert main(argv) == 0
-    monkeypatch.delenv("QNG_DEFAULT_CUTOFF")
-    assert build_parser().parse_args(argv).cutoff == 80
 
 
 @pytest.mark.parametrize("s_arg,s_values", [

@@ -12,12 +12,20 @@ import qng.witness
 from qng.bounds import bound_objective, pure_bound
 from qng.fock import (ChannelSpec, GaussianMapSpec, TruncatedState,
                       TruncationError, _family_vector, apply_loss, apply_map,
-                      make_coherent, make_fock, make_pac, make_pss,
-                      mapped_photon_probs, mix, moments)
+                      make_coherent, make_displaced_squeezed, make_fock,
+                      make_pac, make_pss, make_squeezed, mapped_photon_probs,
+                      mix, moments)
 from qng.quasiprob import _family_origin, _origin_series, qs_origin_error
 from qng.witness import (StateFamily, _lossy_witness, _refine, beta_opt, delta_a,
                          delta_b, epsilon_threshold, q_opt, refine_map,
                          witness_at_loss, witness_curve)
+
+
+def member_state(family, cutoff):
+    """The family member as a truncated state, from make_fock, make_pac or
+    make_pss."""
+    make = {"fock": make_fock, "pac": make_pac, "pss": make_pss}[family.kind]
+    return make(family.param, cutoff)
 
 
 @pytest.fixture
@@ -81,7 +89,7 @@ def assert_matches_lossy_matrix(family, s, eps):
     # mean and at cutoff 80 the matrix drops up to 2.7e-12 of it (PSS
     # r = 0.8); a closed form has no truncation tail to count
     fast = witness_at_loss(family, s, eps, "a")
-    lossy = apply_loss(family.build(160), ChannelSpec(eps))
+    lossy = apply_loss(member_state(family, 160), ChannelSpec(eps))
     oracle = delta_a(lossy, s)
     assert abs(fast.delta - oracle.delta) <= 1e-12
     assert abs(fast.q_value - oracle.q_value) <= 1e-12
@@ -183,7 +191,7 @@ class TestFamilyClosedForm:
         # 300 levels hold PAC alpha = 3 and PSS r = 1 to far below 1e-40
         probs = mp_photon_numbers(mp, family, 300)
         mp_nbar0 = mp.fsum(m * p for m, p in enumerate(probs))
-        p160 = qng.fock.photon_probs(family.build(160))
+        p160 = qng.fock.photon_probs(member_state(family, 160))
         eps_grid = np.array(CLOSED_FORM_EPS)
         for s in CLOSED_FORM_S:
             sv = float(s)
@@ -268,8 +276,8 @@ class TestFamilyClosedForm:
         *(StateFamily("pss", r) for r in (0.0, 1.0, 2.0, 3.0, 100.0, 400.0))],
         ids=lambda f: f"{f.kind}{f.param}")
     def test_guard_refuses_what_build_refuses(self, family):
-        # the guard reads the amplitudes that build squares into a matrix:
-        # at every cutoff both pass, or both raise the same error
+        # the guard reads the amplitudes that make_<kind> squares into a
+        # matrix: at every cutoff both pass, or both raise the same error
         def outcome(call, cutoff):
             try:
                 call(cutoff)
@@ -278,8 +286,8 @@ class TestFamilyClosedForm:
             return None
 
         cutoffs = range(201)
-        built = [outcome(family.build, c) for c in cutoffs]
-        assert built[0] is not None  # no family member fits cutoff 0
+        built = [outcome(partial(member_state, family), c) for c in cutoffs]
+        assert built[0][0] is ValueError  # cutoff 0 is no cutoff
         assert [outcome(partial(qng.witness._guard, family), c)
                 for c in cutoffs] == built
 
@@ -298,7 +306,41 @@ class TestFamilyClosedForm:
         with pytest.raises(TruncationError):  # the guard still refuses
             witness_at_loss(StateFamily("pac", 2.0), -1, 0.5, "a", cutoff=5)
         with pytest.raises(AssertionError, match="built a state"):
-            StateFamily("pac", 2.0).build(80)  # the patches are live
+            make_pac(2.0, 80)  # the patches are live
+
+
+BAD_CUTOFF_ENTRY_POINTS = {
+    "make_fock": lambda c: make_fock(1, c),
+    "make_coherent": lambda c: make_coherent(0.5, c),
+    "make_pac": lambda c: make_pac(0.5, c),
+    "make_squeezed": lambda c: make_squeezed(0.5, c),
+    "make_pss": lambda c: make_pss(0.5, c),
+    "make_displaced_squeezed": lambda c: make_displaced_squeezed(0.5, 0.2, c),
+    "witness_at_loss": lambda c: witness_at_loss(
+        StateFamily("pac", 0.5), -1, 0.5, "b", cutoff=c),
+    "witness_curve": lambda c: witness_curve(
+        StateFamily("pss", 0.5), [-1], [0.5], "a", cutoff=c),
+    "epsilon_threshold": lambda c: epsilon_threshold(
+        StateFamily("pss", 0.5), -1, "b", tol=1e-3, cutoff=c),
+}
+
+
+@pytest.mark.parametrize("cutoff", [-3, -1, 0, 1.5, 2.0])
+@pytest.mark.parametrize("entry", BAD_CUTOFF_ENTRY_POINTS)
+def test_bad_cutoff_refused_before_any_amplitude(monkeypatch, entry, cutoff):
+    # one check refuses every bad cutoff, ahead of numpy (negative sizes,
+    # float indices) and of the truncation tail that a cutoff of 0 leaves
+    def built(*args):
+        raise AssertionError("amplitudes built or fitted for a bad cutoff")
+
+    for module in (qng.fock, qng.witness):
+        monkeypatch.setattr(module, "_check_fits", built)
+    if entry not in ("make_coherent", "make_squeezed", "make_displaced_squeezed"):
+        # those three refuse in displaced_squeezed_vector's first statement
+        monkeypatch.setattr(qng.fock, "displaced_squeezed_vector", built)
+    with pytest.raises(ValueError) as refused:
+        BAD_CUTOFF_ENTRY_POINTS[entry](cutoff)
+    assert str(refused.value) == f"cutoff must be an integer >= 1, got {cutoff!r}"
 
 
 class TestClosedMoments:
@@ -308,7 +350,7 @@ class TestClosedMoments:
         StateFamily("pss", 1.0)], ids=lambda f: f"{f.kind}{f.param}")
     def test_match_a_converged_matrix(self, family):
         n_bar, a1, a2 = family.moments()
-        oracle = moments(family.build(200))
+        oracle = moments(member_state(family, 200))
         assert abs(n_bar - oracle[0]) <= 1e-13 * max(1.0, n_bar)
         assert abs(a1 - oracle[1]) <= 1e-13 * max(1.0, n_bar)
         assert abs(a2 - oracle[2]) <= 1e-13 * max(1.0, n_bar)
@@ -377,7 +419,7 @@ class TestCriterionBFromPhotonNumbers:
     @pytest.mark.parametrize("s", [0, -1, -2])
     def test_matches_mapped_matrix(self, family, eps, gmap, s):
         # the mapped density matrix is the oracle of the photon-number path
-        lossy = apply_loss(family.build(80), ChannelSpec(eps))
+        lossy = apply_loss(member_state(family, 80), ChannelSpec(eps))
         fast = delta_b(lossy, s, gmap, nbar_slack=0.1)
         oracle = delta_a(apply_map(lossy, gmap), s, nbar_slack=0.1)
         assert abs(fast.delta - oracle.delta) <= 1e-12
@@ -387,7 +429,7 @@ class TestCriterionBFromPhotonNumbers:
 
     @pytest.mark.parametrize("family,eps,gmap", LOSSY_MAPPED)
     def test_delta_b_builds_no_state(self, family, eps, gmap, states_built):
-        lossy = apply_loss(family.build(80), ChannelSpec(eps))
+        lossy = apply_loss(member_state(family, 80), ChannelSpec(eps))
         del states_built[:]
         delta_b(lossy, -1, gmap)
         assert states_built == []
@@ -415,7 +457,7 @@ def lossy_family(family, s, eps):
 
 
 def direct_oracle(family, s, eps, gmap, cutoff=80):
-    lossy = apply_loss(family.build(cutoff), ChannelSpec(eps))
+    lossy = apply_loss(member_state(family, cutoff), ChannelSpec(eps))
     return delta_b(lossy, s, gmap)
 
 
@@ -479,7 +521,7 @@ class TestCriterionBFromLosslessVector:
         except TruncationError:
             assert np.isfinite(fast.delta)
             return
-        lossy = apply_loss(family.build(80), ChannelSpec(eps))
+        lossy = apply_loss(member_state(family, 80), ChannelSpec(eps))
         mapped = mapped_photon_probs(lossy, gmap)
         lost = np.trace(lossy.matrix).real - np.sum(mapped)
         budget = 2 / (np.pi * (1 - s)) * lost
@@ -525,7 +567,7 @@ class TestCriterionBFromLosslessVector:
     def test_no_loss_wigner_is_finite(self, family):
         # sigma+- = 0/0 at eps = s = 0: the map is used as it is
         rep = witness_at_loss(family, 0, 0.0, "b")
-        oracle = delta_b(family.build(80), 0, rep.map)
+        oracle = delta_b(member_state(family, 80), 0, rep.map)
         assert np.isfinite(rep.delta)
         assert abs(rep.delta - oracle.delta) <= 1e-12
 
@@ -781,7 +823,7 @@ class TestThresholds:
 
     @pytest.mark.parametrize("family,criterion", [
         (StateFamily("fock", 3), "a"), (StateFamily("fock", 3), "b"),
-        (StateFamily("pss", 0.5), "a"), (StateFamily("pac", 0.0), "b")])
+        (StateFamily("pss", 0.5), "a")])
     def test_scan_is_one_bound_call(self, monkeypatch, family, criterion):
         sizes = []
         bound = qng.witness.pure_bound
@@ -949,6 +991,23 @@ def test_soundness_on_hull_samples():
         st = mix(states, [w, 1 - w])
         for s in [0, -0.5, -1, -2]:
             assert delta_a(st, s).delta >= -1e-7
+
+
+@pytest.mark.parametrize("family", [
+    *(StateFamily("fock", m) for m in range(7)),
+    # a PAC alpha = 0 seed is the identity too, scanned point by point
+    StateFamily("pac", 0.0)], ids=lambda f: f"{f.kind}{f.param}")
+@pytest.mark.parametrize("s", [0, -0.25, -0.5, -1, -2, -5])
+@pytest.mark.parametrize("tol", [1e-3, 1e-5])
+def test_identity_seed_threshold_is_criterion_a(monkeypatch, family, s, tol):
+    a = epsilon_threshold(family, s, "a", tol=tol)
+    if family.kind == "fock":  # the kind says the seed is the identity
+        def no_seed(*args):
+            raise AssertionError("a Fock threshold built a seed map")
+
+        monkeypatch.setattr(qng.witness, "_seed_map", no_seed)
+    b = epsilon_threshold(family, s, "b", tol=tol)
+    assert b.epsilon_star == a.epsilon_star
 
 
 def test_family_validation():
