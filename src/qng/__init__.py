@@ -8,7 +8,7 @@ from .fock import (ChannelSpec, GaussianMapSpec, TruncatedState, TruncationError
                    apply_loss, apply_map, make_coherent, make_displaced_squeezed,
                    make_fock, make_pac, make_pss, make_squeezed, mix, moments,
                    mapped_photon_probs, photon_probs)
-from .quasiprob import qs_at, qs_fock, qs_origin, qs_origin_error, qs_pure_gaussian
+from .quasiprob import qs_fock, qs_origin, qs_origin_error, qs_pure_gaussian
 from .witness import (StateFamily, ThresholdResult, WitnessReport, beta_opt,
                       delta_a, delta_b, epsilon_threshold, q_opt, refine_map,
                       witness_at_loss)

@@ -15,9 +15,9 @@ the cutoff is known exactly, and its photon numbers need no mapped matrix.
 The PAC and PSS states are one ladder combination on a Gaussian vector, and
 so is their image under any U = D(beta) S(q): U psi = L D(gamma) S(r)|0>,
 L = lam a + kap a^dag + c. One helper (_family_ladder) works out lam, kap,
-c, gamma and r. _family_vector builds U psi from them in O(cutoff), and
-qng.quasiprob gives its origin value from them in closed form, which is how
-criterion b evaluates these states, with no vector.
+c, gamma and r. _family_vector builds psi from them in O(cutoff), and
+qng.quasiprob gives the origin value of U psi from them in closed form, which
+is how every family witness evaluates these states, with no vector.
 
 Validation runs at the boundary only: a TruncatedState built from a caller's
 matrix is checked in full (shape, finite entries, Hermitian, trace, positive
@@ -243,17 +243,15 @@ def _family_ladder(kind: str, param: float, beta: complex, q: float):
     return lam, kap, c, gamma, r0 + q, norm
 
 
-def _family_vector(kind: str, param: float, cutoff: int,
-                   gmap: GaussianMapSpec = GaussianMapSpec()) -> np.ndarray:
-    """Amplitudes on levels 0..cutoff of U psi, U = D(beta) S(q) from gmap,
-    for the PAC or PSS state psi of _family_ladder.
+def _family_vector(kind: str, param: float, cutoff: int) -> np.ndarray:
+    """Amplitudes on levels 0..cutoff of the PAC or PSS state psi of
+    _family_ladder.
 
     One Gaussian vector (one level past the cutoff, so every amplitude is
     exact) and two shifted multiplies. The norm missing from the result is
-    the probability U psi puts past the cutoff.
+    the probability psi puts past the cutoff.
     """
-    lam, kap, c, gamma, r, norm = _family_ladder(
-        kind, param, complex(gmap.displacement), float(gmap.squeeze))
+    lam, kap, c, gamma, r, norm = _family_ladder(kind, param, 0j, 0.0)
     g = displaced_squeezed_vector(gamma, r, cutoff + 1)
     root = np.sqrt(np.arange(1, cutoff + 2))
     lower = root * g[1:]  # (a g)_n = sqrt(n+1) g_{n+1}

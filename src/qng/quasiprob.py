@@ -1,4 +1,4 @@
-"""s-parametrized quasiprobability values at (and around) the phase-space origin.
+"""s-parametrized quasiprobability values at the phase-space origin.
 
 Only orderings s <= 0 are supported: s = 0 is the Wigner function (parity
 average), s = -1 the Husimi Q-function (vacuum projection / pi). For s < -1
@@ -15,8 +15,7 @@ import math
 
 import numpy as np
 
-from .fock import (GaussianMapSpec, TruncatedState, _family_ladder,
-                   _fock_number, mapped_photon_probs, photon_probs)
+from .fock import TruncatedState, _family_ladder, _fock_number, photon_probs
 
 
 # Lowest ordering parameter accepted. From S_MIN up to 0 every origin formula
@@ -122,12 +121,3 @@ def qs_pure_gaussian(n: float, m: float, s, theta: float = 0.0,
     if n < 0 or not 0 <= m <= n:  # NaN fails this too
         raise ValueError(f"need 0 <= m <= n, got m={m}, n={n}")
     return float(_pure_gaussian_origin(n, m, _coerce_s(s), np.cos(2.0 * theta - phi)))
-
-
-def qs_at(state: TruncatedState, s, alpha: complex) -> float:
-    """Quasiprobability at phase-space point alpha via displacement covariance.
-
-    Q_s[rho](alpha) is the origin value of the state displaced by -alpha,
-    read from its photon numbers."""
-    p = mapped_photon_probs(state, GaussianMapSpec(displacement=-alpha))
-    return _origin_series(p, _coerce_s(s))[0]

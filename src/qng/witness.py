@@ -6,39 +6,28 @@ certifies the state lies outside the hull. Criterion b applies a Gaussian
 unitary (displacement or squeezing) chosen to make the comparison most
 favourable.
 
-Every family witness (Fock, PAC and PSS after loss, both criteria) is a
-closed form and reads no photon numbers: loss plus s-ordering is another
-ordering behind another Gaussian unitary (Cahill & Glauber, Phys. Rev. 177,
-1882 (1969)). For U = D(beta) S(q), eta = 1 - eps and
-sigma+- = (eps - s e^(-+2q)) / eta,
+One evaluator, _lossy_witness, gives every family witness (Fock, PAC and
+PSS after loss, both criteria) in closed form, from one identity: loss plus
+s-ordering is another ordering behind another Gaussian unitary (Cahill &
+Glauber, Phys. Rev. 177, 1882 (1969)). For U = D(beta) S(q), eta = 1 - eps
+and sigma+- = (eps - s e^(-+2q)) / eta,
 
     Q_s(0)[U L_eps(rho) U^dag] = Q_s2(0)[U' rho U'^dag] / eta,
 
 s2 = -sqrt(sigma+ sigma-), q2 = ln(sigma+ / sigma-) / 4, U' = D(beta') S(-q2),
 beta' = (e^(-q-q2) Re beta + i e^(q+q2) Im beta) / sqrt(eta), and the origin
-value of U' psi is a closed form (quasiprob._family_origin) with no cutoff.
-With no map (criterion a, and the identity seed of every Fock state) U' is
-the identity and s2 = -(eps - s)/eta, on an array of losses too: for |m> the
-value is 2/(pi(1-s)) x^m, x = eps - eta (1+s)/(1-s), and at full loss every
-state is the vacuum, 2/(pi(1-s)). n_bar comes from the closed moments
-(StateFamily.moments). A public call's cutoff only refuses what
-make_<kind>(param, cutoff) refuses, from the member's amplitudes alone.
+value of U' psi is quasiprob._family_origin, with no cutoff. Criterion a is
+the identity map: U' = 1 and s2 = -(eps - s)/eta, on an array of losses
+too; for |m> the value is 2/(pi(1-s)) x^m, x = eps - eta (1+s)/(1-s), and
+at full loss every state is the vacuum, 2/(pi(1-s)). n_bar comes from the
+closed moments (StateFamily.moments).
 
 Photon numbers serve only a caller's state (delta_a, delta_b): the origin
-series of quasiprob._origin_series, with its truncation tail
-(1 - sum p) 2/(pi(1-s)), the most the missing mass can move the value
-wherever it sits. nbar_slack, which only delta_a and delta_b take, is the
-caller's allowance for the mean photon number that a truncated state leaves
-out; the tail mass does not bound it.
-
-The public functions check their inputs once, before the cutoff is guarded
-(fock._member_vector refuses a cutoff that is not an integer >= 1), and the
-evaluators under them take checked floats. A threshold's scan
-and bisection run through one evaluator, which takes the whole scan grid as
-one array under criterion a and for a Fock state. Every verdict is _report's:
-delta + tail < 0, where tail is 0 for a closed form, so truncation never
-makes a witness conclusive. Criterion-b reports are cached per loss value,
-so the refined map's report is reused.
+series of quasiprob._origin_series and its truncation tail. Every verdict is
+_report's, delta + tail < 0, where tail is 0 for a closed form, so
+truncation never makes a witness conclusive. A public function checks its
+inputs once, then guards the cutoff, which refuses only what
+make_<kind>(param, cutoff) refuses, from the member's amplitudes alone.
 """
 
 from __future__ import annotations
@@ -228,66 +217,58 @@ def _seed_map(family: StateFamily, epsilon: float) -> GaussianMapSpec:
     return GaussianMapSpec()
 
 
-def _lossy_witness(family: StateFamily, eps: float, sv: float):
-    """Second-criterion witness of a PAC or PSS state after checked loss eps,
-    as a cached function of the map (the identity of the module docstring)."""
+def _lossy_witness(family: StateFamily, eps, sv: float, moments,
+                   gmap: GaussianMapSpec | None = None) -> WitnessReport:
+    """Witness of a family member, with closed moments, after checked loss
+    eps and the map gmap (None for no map), by the identity of the module
+    docstring. With no map or the identity eps may be an array of losses;
+    under any other map it is a float and the member is PAC or PSS."""
     eta = 1.0 - eps
-    n0, a1, a2 = family.moments()
-
-    @cache
-    def witness(gmap: GaussianMapSpec) -> WitnessReport:
-        beta, q = complex(gmap.displacement), float(gmap.squeeze)
-        if eps == 0.0:  # no loss: U' = U (at s = 0 sigma+- would be 0/0)
-            s2, q2 = sv, -q
+    n0, a1, a2 = moments
+    if gmap is None or gmap.is_identity:  # sigma+ = sigma-, U' = 1
+        scale = 2.0 / (np.pi * (1.0 - sv))  # the vacuum's value, as bound_at_zero
+        if family.kind == "fock":  # Q_s2(0)[|m>] / eta = scale x^m
+            q_value = scale * (eps - eta * (1.0 + sv) / (1.0 - sv)) ** int(family.param)
+        elif np.ndim(eps):
+            full = eta == 0.0
+            kept = np.where(full, 1.0, eta)
+            origin = _family_origin(family.kind, family.param, 0j, 0.0,
+                                    -(eps - sv) / kept) / kept
+            q_value = np.where(full, scale, origin)
+        elif eta == 0.0:  # full loss leaves the vacuum
+            q_value = scale
         else:
-            sigma_p = (eps - sv * math.exp(-2.0 * q)) / eta
-            sigma_m = (eps - sv * math.exp(2.0 * q)) / eta
-            s2 = -math.sqrt(sigma_p * sigma_m)
-            q2 = 0.25 * math.log(sigma_p / sigma_m)
-        beta2 = complex(math.exp(-q - q2) * beta.real,
-                        math.exp(q + q2) * beta.imag) / math.sqrt(eta)
-        q_value = _family_origin(family.kind, family.param, beta2, -q2, s2) / eta
-        mu, nu = math.cosh(q), math.sinh(q)
-        shift = beta.conjugate() * (mu * a1 + nu * a1.conjugate())
-        nbar = (eta * (math.cosh(2.0 * q) * n0 + math.sinh(2.0 * q) * a2.real)
-                + nu * nu + abs(beta) ** 2 + 2.0 * math.sqrt(eta) * shift.real)
-        return _report(sv, q_value, nbar, 0.0, gmap)
-
-    return witness
-
-
-def _unmapped_witness(family: StateFamily, eps, sv: float,
-                      gmap: GaussianMapSpec | None = None) -> WitnessReport:
-    """Witness of a family member after checked loss eps (a float, or an array
-    of losses) with no map: the identity case of _lossy_witness, where
-    sigma+ = sigma- and U' = 1, so the origin value is the s2-ordered value
-    of the lossless state over eta, s2 = -(eps - s)/eta."""
-    eta = 1.0 - eps
-    scale = 2.0 / (np.pi * (1.0 - sv))  # the vacuum's value, as bound_at_zero
-    if family.kind == "fock":  # Q_s2(0)[|m>] / eta = scale x^m
-        q_value = scale * (eps - eta * (1.0 + sv) / (1.0 - sv)) ** int(family.param)
-    elif np.ndim(eps):
-        full = eta == 0.0
-        kept = np.where(full, 1.0, eta)
-        origin = _family_origin(family.kind, family.param, 0j, 0.0,
-                                -(eps - sv) / kept) / kept
-        q_value = np.where(full, scale, origin)
-    elif eta == 0.0:  # full loss leaves the vacuum
-        q_value = scale
+            q_value = _family_origin(family.kind, family.param, 0j, 0.0,
+                                     -(eps - sv) / eta) / eta
+        return _report(sv, q_value, eta * n0, 0.0, gmap)
+    beta, q = complex(gmap.displacement), float(gmap.squeeze)
+    if eps == 0.0:  # no loss: U' = U (at s = 0 sigma+- would be 0/0)
+        s2, q2 = sv, -q
     else:
-        q_value = _family_origin(family.kind, family.param, 0j, 0.0,
-                                 -(eps - sv) / eta) / eta
-    return _report(sv, q_value, eta * family.moments()[0], 0.0, gmap)
+        sigma_p = (eps - sv * math.exp(-2.0 * q)) / eta
+        sigma_m = (eps - sv * math.exp(2.0 * q)) / eta
+        s2 = -math.sqrt(sigma_p * sigma_m)
+        q2 = 0.25 * math.log(sigma_p / sigma_m)
+    beta2 = complex(math.exp(-q - q2) * beta.real,
+                    math.exp(q + q2) * beta.imag) / math.sqrt(eta)
+    q_value = _family_origin(family.kind, family.param, beta2, -q2, s2) / eta
+    mu, nu = math.cosh(q), math.sinh(q)
+    shift = beta.conjugate() * (mu * a1 + nu * a1.conjugate())
+    nbar = (eta * (math.cosh(2.0 * q) * n0 + math.sinh(2.0 * q) * a2.real)
+            + nu * nu + abs(beta) ** 2 + 2.0 * math.sqrt(eta) * shift.real)
+    return _report(sv, q_value, nbar, 0.0, gmap)
 
 
 def _witness(family: StateFamily, sv: float, eps, criterion: str) -> WitnessReport:
-    """Witness of a family member after loss eps, all inputs checked;
-    criterion a also takes an array of losses."""
+    """Witness of a family member after loss eps, all inputs checked. With a
+    seed map to refine, the witness is cached per map, so the refined map's
+    report is reused; criterion a also takes an array of losses."""
+    witness = partial(_lossy_witness, family, eps, sv, family.moments())
     seed = _seed_map(family, eps) if criterion == "b" else None
-    if seed is None or seed.is_identity:
-        return _unmapped_witness(family, eps, sv, seed)
-    witness = _lossy_witness(family, eps, sv)
-    return witness(_refine(witness, seed))
+    if seed is not None and not seed.is_identity:
+        witness = cache(witness)
+        seed = _refine(witness, seed)
+    return witness(seed)
 
 
 def witness_at_loss(family: StateFamily, s, epsilon: float, criterion: str,
@@ -296,7 +277,7 @@ def witness_at_loss(family: StateFamily, s, epsilon: float, criterion: str,
 
     The value is a closed form; cutoff only refuses (TruncationError) a
     family member that does not fit it, as make_<kind>(param, cutoff) would."""
-    sv, eps = _checked(s, criterion), ChannelSpec(epsilon).epsilon
+    sv, eps = _checked(s, criterion), float(ChannelSpec(epsilon).epsilon)
     _guard(family, cutoff)
     return _witness(family, sv, eps, criterion)
 
@@ -306,16 +287,16 @@ def witness_curve(family: StateFamily, s_values, eps_values, criterion: str,
     """Deltas of witness_at_loss at every (eps_values[i], s_values[j]), as an
     array indexed [i, j], with the inputs checked and the cutoff guarded once.
 
-    Criterion a takes the loss grid as one array per s; criterion b refines
-    a map at each point."""
+    As in epsilon_threshold, the loss grid is one array per s under
+    criterion a and for a Fock state; otherwise criterion b refines a map
+    at each point."""
     s_checked = [_checked(s, criterion) for s in s_values]
-    eps = [ChannelSpec(e).epsilon for e in eps_values]
+    eps = [float(ChannelSpec(e).epsilon) for e in eps_values]
     _guard(family, cutoff)
     deltas = np.empty((len(eps), len(s_checked)))
     for j, sv in enumerate(s_checked):
-        if criterion == "a":
-            deltas[:, j] = _witness(family, sv, np.array(eps, dtype=float),
-                                    "a").delta
+        if criterion == "a" or family.kind == "fock":
+            deltas[:, j] = _witness(family, sv, np.array(eps), "a").delta
         else:
             deltas[:, j] = [_witness(family, sv, e, "b").delta for e in eps]
     return deltas
@@ -327,11 +308,15 @@ def epsilon_threshold(family: StateFamily, s, criterion: str = "a",
     """Largest loss at which the witness stays conclusive.
 
     Returns sentinel "one" when still conclusive at epsilon = 1 - tol and
-    "none" when inconclusive everywhere on the SCAN_POINTS grid. The conclusive
-    region can start away from epsilon = 0 (even Fock states have a positive
-    parity at zero loss), so the scan walks down from high loss and bisects
-    the topmost sign change. Under criterion a, and criterion b of a Fock
-    state (whose seed map is the identity), the scan is one array evaluation.
+    "none" when inconclusive at every scanned loss: the SCAN_POINTS grid and,
+    for a Fock state, eps0 = (1+s)/2 where it lies inside the grid. The
+    conclusive region can start away from epsilon = 0 (even Fock states have
+    a positive parity at zero loss), so the scan walks down from high loss
+    and bisects the topmost sign change. A Fock state's origin value is 0 at
+    eps0 (x = 0), and from |10> on its window around eps0 can fall between
+    two grid points, so eps0 is scanned too. Under criterion a, and
+    criterion b of a Fock state (whose seed map is the identity), the scan
+    is one array evaluation.
     """
     sv = _checked(s, criterion)
     # above 0.5 the grid tol..1-tol would run from high loss to low loss
@@ -339,6 +324,9 @@ def epsilon_threshold(family: StateFamily, s, criterion: str = "a",
         raise ValueError(f"tol must be in [1e-6, 0.5], got {tol}")
     _guard(family, cutoff)
     grid = np.linspace(tol, 1.0 - tol, SCAN_POINTS)
+    eps0 = (1.0 + sv) / 2.0
+    if family.kind == "fock" and tol < eps0 < 1.0 - tol:
+        grid = np.sort(np.append(grid, eps0))
     batch = criterion == "a" or family.kind == "fock"  # a Fock seed is the identity
     scan_criterion = "a" if batch else criterion
 
@@ -350,7 +338,7 @@ def epsilon_threshold(family: StateFamily, s, criterion: str = "a",
     star: float | str = "one"
     if not next(conclusive):  # at the top, hi = 1 - tol
         star = "none"
-        for i, below in zip(range(SCAN_POINTS - 2, -1, -1), conclusive):
+        for i, below in zip(range(grid.size - 2, -1, -1), conclusive):
             if below:
                 lo, hi = grid[i], grid[i + 1]
                 while hi - lo > tol:

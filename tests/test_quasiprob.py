@@ -8,9 +8,9 @@ from qng.fock import (ChannelSpec, GaussianMapSpec, TruncatedState, apply_loss,
                       apply_map, make_coherent, make_displaced_squeezed,
                       make_fock, make_pac, make_pss, mix, photon_probs)
 from qng.bounds import pure_bound
-from qng.quasiprob import (S_MIN, qs_at, qs_fock, qs_origin, qs_origin_error,
+from qng.quasiprob import (S_MIN, qs_fock, qs_origin, qs_origin_error,
                            qs_pure_gaussian)
-from qng.witness import StateFamily, delta_a, witness_at_loss
+from qng.witness import StateFamily, delta_a, delta_b, witness_at_loss
 
 S_VALUES = [0.0, -0.25, -0.5, -1.0, -2.0, -3.0]
 
@@ -126,20 +126,26 @@ def test_truncation_error_estimate():
     assert qs_origin_error(st, -1) >= 0
 
 
-class TestQsAt:
+def displaced_origin(state, s, alpha):
+    """Q_s[rho](alpha): the origin value of the state displaced by -alpha,
+    read from its photon numbers."""
+    return delta_b(state, s, GaussianMapSpec(displacement=-alpha)).q_value
+
+
+class TestDisplacedOrigin:
     def test_origin_matches(self):
         st = make_fock(1, 30)
-        assert qs_at(st, -0.5, 0) == qs_origin(st, -0.5)
+        assert displaced_origin(st, -0.5, 0) == qs_origin(st, -0.5)
 
     def test_vacuum_husimi_gaussian(self):
         st = make_fock(0, 50)
         for alpha in [0.5, 1.0, 1.0 + 0.5j]:
             expected = np.exp(-abs(alpha) ** 2) / np.pi
-            assert qs_at(st, -1, alpha) == pytest.approx(expected, abs=1e-9)
+            assert displaced_origin(st, -1, alpha) == pytest.approx(expected, abs=1e-9)
 
     def test_coherent_at_own_amplitude(self):
         st = make_coherent(1.0, 50)
-        assert qs_at(st, -1, 1.0) == pytest.approx(1 / np.pi, abs=1e-9)
+        assert displaced_origin(st, -1, 1.0) == pytest.approx(1 / np.pi, abs=1e-9)
 
     @pytest.mark.parametrize("state", [
         pytest.param(make_pac(1.5, 60), id="pac"),
@@ -151,7 +157,7 @@ class TestQsAt:
     def test_matches_displaced_matrix(self, state, alpha, s, apply_map_calls):
         # the displaced density matrix is the oracle of the photon-number path
         oracle = qs_origin(apply_map(state, GaussianMapSpec(displacement=-alpha)), s)
-        assert abs(qs_at(state, s, alpha) - oracle) <= 1e-12
+        assert abs(displaced_origin(state, s, alpha) - oracle) <= 1e-12
         assert apply_map_calls == []
 
 
