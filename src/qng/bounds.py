@@ -14,9 +14,9 @@ Descartes' rule P has at most two positive roots, so exactly one root lies in
 a float or an array of n. At s = 0 the root is 2n+1 (wigner_bound_closed); at
 s = -1 it is the root of the cubic behind m_minus1_closed. At n = 0 the hull
 holds only the vacuum, and every bound here is its origin value 2/(pi(1-s))
-(bound_at_zero), written as the prefactor of the photon-number series of
-qng.quasiprob, so the vacuum's witness is exactly 0. Each public function
-checks its own s and n where they enter; n runs up to N_MAX = 1e70.
+(bound_at_zero), through the quasiprob._vacuum_origin of every
+photon-number series, so the vacuum's witness is exactly 0. Each public
+function checks its own s and n where they enter; n runs up to N_MAX = 1e70.
 
 build_bound_curve (the (n, bound, m_opt) rows of `qng bound-curve`) and the
 error bars of qng.error_model still tabulate the bounded minimization of the
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quasiprob import _coerce_s, _pure_gaussian_origin
+from .quasiprob import _coerce_s, _pure_gaussian_origin, _vacuum_origin
 
 # Largest mean photon number accepted. Up to it the |s| (2n)^4 terms of the
 # quartic stay finite for every s >= quasiprob.S_MIN, as does the Husimi cubic.
@@ -52,10 +52,9 @@ def bound_at_zero(s) -> float:
     """Closed-form bound at n = 0, the vacuum's origin value 2/(pi(1-s)).
 
     The objective's 2/(pi sqrt(1+s(s-2))) is the same number for s <= 0, but
-    only this expression, the prefactor of quasiprob._origin_series, rounds
-    the way the vacuum's series does, so the vacuum's delta is exactly 0."""
-    sv = _coerce_s(s)
-    return 2.0 / (np.pi * (1.0 - sv))
+    only quasiprob._vacuum_origin rounds the way the vacuum's series does,
+    so the vacuum's delta is exactly 0."""
+    return _vacuum_origin(_coerce_s(s))
 
 
 def wigner_bound_closed(n: float) -> float:

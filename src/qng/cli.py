@@ -62,71 +62,57 @@ def parse_s_list(text: str) -> list[float]:
     return values
 
 
-def _write(path: str | None, content: str) -> None:
+def _emit(path: str | None, header: str, rows) -> int:
+    """Write the header and one CSV line per row, each value through _fmt, to
+    path (stdout for None or "-"); the whole text is built before path is
+    opened, so a failing row leaves no file behind."""
+    text = "\n".join([header, *(",".join(map(_fmt, row)) for row in rows)]) + "\n"
     if path is None or path == "-":
-        sys.stdout.write(content)
+        sys.stdout.write(text)
     else:
         with open(path, "w") as fh:
-            fh.write(content)
+            fh.write(text)
+    return EXIT_OK
 
 
-def _families(args) -> list[StateFamily]:
+def _families(args, step: float | None) -> list[StateFamily]:
     spec = {"fock": args.m, "pac": args.alpha, "pss": args.r}[args.family]
     if spec is None:
         raise ValueError(f"family {args.family!r} needs its parameter flag")
-    return [StateFamily(kind=args.family, param=p)
-            for p in parse_range(spec, args.step)]
+    return [StateFamily(kind=args.family, param=p) for p in parse_range(spec, step)]
 
 
 def cmd_bound_curve(args) -> int:
-    lines = ["n,bound,m_opt"]
-    for row in build_bound_curve(args.s, args.n_max, args.step):
-        lines.append(",".join(map(_fmt, row)))
-    _write(args.out, "\n".join(lines) + "\n")
-    return EXIT_OK
+    return _emit(args.out, "n,bound,m_opt",
+                 build_bound_curve(args.s, args.n_max, args.step))
 
 
 def cmd_threshold(args) -> int:
-    families = _families(args)
-    s_values = parse_s_list(args.s)
-    lines = ["family_param,s,criterion,epsilon_star"]
-    for family in families:
-        for s in s_values:
-            res = epsilon_threshold(family, s, criterion=args.criterion,
-                                    tol=args.tol, cutoff=args.cutoff)
-            lines.append(",".join([_fmt(family.param), _fmt(s), args.criterion,
-                                   _fmt(res.epsilon_star)]))
-    _write(args.out, "\n".join(lines) + "\n")
-    return EXIT_OK
+    families, s_values = _families(args, args.step), parse_s_list(args.s)
+    return _emit(args.out, "family_param,s,criterion,epsilon_star", (
+        (family.param, s, args.criterion,
+         epsilon_threshold(family, s, criterion=args.criterion, tol=args.tol,
+                           cutoff=args.cutoff).epsilon_star)
+        for family in families for s in s_values))
 
 
 def cmd_witness_curve(args) -> int:
-    families = _families(args)
-    if len(families) != 1:
-        raise ValueError("witness-curve takes a single family parameter")
-    family = families[0]
+    (family,) = _families(args, None)  # one member: a range needs a step
     s_values = parse_s_list(args.s)
     eps_values = parse_range(args.eps, args.eps_step)
     deltas = witness_curve(family, s_values, eps_values, args.criterion,
                            cutoff=args.cutoff)
-    lines = ["epsilon,s,delta"]
-    for eps, row in zip(eps_values, deltas):
-        for s, delta in zip(s_values, row):
-            lines.append(",".join([_fmt(eps), _fmt(s), _fmt(delta)]))
-    _write(args.out, "\n".join(lines) + "\n")
-    return EXIT_OK
+    return _emit(args.out, "epsilon,s,delta", (
+        (eps, s, delta) for eps, row in zip(eps_values, deltas)
+        for s, delta in zip(s_values, row)))
 
 
 def cmd_error_bars(args) -> int:
     s_values = [_coerce_s(s) for s in parse_s_list(args.s)]
     grid = parse_range(args.n_avg, args.step)
-    lines = [f"# k={args.k}", "s,n_avg,mean,std"]
-    for s in s_values:
-        for n_avg in grid:
-            mean, std = normalized_bound_stats(s, n_avg, args.k)
-            lines.append(",".join(map(_fmt, (s, n_avg, mean, std))))
-    _write(args.out, "\n".join(lines) + "\n")
-    return EXIT_OK
+    return _emit(args.out, f"# k={args.k}\ns,n_avg,mean,std", (
+        (s, n_avg, *normalized_bound_stats(s, n_avg, args.k))
+        for s in s_values for n_avg in grid))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -193,8 +179,6 @@ def build_parser() -> argparse.ArgumentParser:
     pw = sub.add_parser("witness-curve",
                         help="witness value vs loss for one state")
     add_family_flags(pw)
-    pw.add_argument("--step", type=float, default=None,
-                    help="step for the family parameter range (single value)")
     pw.add_argument("--eps", required=True, help="loss value or range lo..hi")
     pw.add_argument("--eps-step", type=float, default=None)
     pw.add_argument("--criterion", choices=("a", "b"), default="a")

@@ -26,7 +26,11 @@ mixtures) are positive semidefinite by construction, have their truncation
 checked where it happens, and only have their trace checked against 1.
 Real states stay real: a matrix with real entries is stored as float64, and
 loss and real maps act on it in real arithmetic; complex inputs run the same
-code in complex128.
+code in complex128. A cutoff that is not an integer >= 1 is one ValueError
+where amplitudes start (_check_cutoff), a Fock number must be a whole number
+>= 0, and a non-finite beta or q is refused by name. A pure state that leaves
+TRUNCATION_LIMIT of its norm past the cutoff, and a map that moves more than
+MAP_TRUNCATION_LIMIT of the trace across it either way, raise TruncationError.
 """
 
 from __future__ import annotations
@@ -342,8 +346,9 @@ def _map_core(state: TruncatedState, gmap: GaussianMapSpec):
     conj(G[m, n]) is the diagonal of G rho G^dag, and since U is unitary
     Tr rho - sum p' is exactly the trace pushed past the cutoff. A negative
     loss means the recurrence diverged (strong squeezing at a large cutoff),
-    so a loss beyond MAP_TRUNCATION_LIMIT either way raises. G is real when
-    beta is real, so a real state is mapped in real arithmetic.
+    so a loss beyond MAP_TRUNCATION_LIMIT either way raises; a smaller
+    overshoot is accepted, and the tail of witness.delta_b counts it. G is
+    real when beta is real, so a real state is mapped in real arithmetic.
     """
     beta, q = complex(gmap.displacement), float(gmap.squeeze)
     beta_conj = beta.real if beta.imag == 0 else beta.conjugate()

@@ -34,21 +34,31 @@ def _coerce_s(s) -> float:
     return sv
 
 
+def _vacuum_origin(sv: float) -> float:
+    """The vacuum's origin value 2/(pi(1-s)): the prefactor of every
+    photon-number series and the hull bound at n = 0. It is written once, so
+    they round alike and the vacuum's delta is exactly 0."""
+    return 2.0 / (np.pi * (1.0 - sv))
+
+
 def qs_fock(m: int, s) -> float:
     """Closed-form quasiprobability of |m><m| at the origin."""
     sv, m = _coerce_s(s), _fock_number(m)
-    return 2.0 / (np.pi * (1.0 - sv)) * (-1.0) ** m * ((1.0 + sv) / (1.0 - sv)) ** m
+    return _vacuum_origin(sv) * (-1.0) ** m * ((1.0 + sv) / (1.0 - sv)) ** m
 
 
-def _origin_series(p: np.ndarray, sv: float) -> tuple[float, float]:
+def _origin_series(p: np.ndarray, sv: float,
+                   missing: float | None = None) -> tuple[float, float]:
     """Origin value 2/(pi(1-s)) sum_m x^m p_m of photon numbers p, with
-    x = -(1+s)/(1-s), and its truncation tail (1 - sum p) 2/(pi(1-s)): as
-    |x| <= 1 for s <= 0, the missing mass moves the value by no more than
-    that wherever it sits, past the last level or (lost before a channel)
-    at low levels: qs_origin_error."""
-    scale = 2.0 / (np.pi * (1.0 - sv))
+    x = -(1+s)/(1-s), and its truncation tail missing * 2/(pi(1-s)), where
+    missing defaults to 1 - sum p: as |x| <= 1 for s <= 0, a mass moves the
+    value by no more than that wherever it sits, past the last level or
+    (lost before a channel) at low levels: qs_origin_error."""
+    scale = _vacuum_origin(sv)
     value = scale * float((-(1.0 + sv) / (1.0 - sv)) ** np.arange(p.size) @ p)
-    return value, scale * max(0.0, 1.0 - float(p.sum()))
+    if missing is None:
+        missing = max(0.0, 1.0 - float(p.sum()))
+    return value, scale * missing
 
 
 def qs_origin(state: TruncatedState, s) -> float:

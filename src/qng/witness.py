@@ -23,11 +23,15 @@ at full loss every state is the vacuum, 2/(pi(1-s)). n_bar comes from the
 closed moments (StateFamily.moments).
 
 Photon numbers serve only a caller's state (delta_a, delta_b): the origin
-series of quasiprob._origin_series and its truncation tail. Every verdict is
-_report's, delta + tail < 0, where tail is 0 for a closed form, so
-truncation never makes a witness conclusive. A public function checks its
-inputs once, then guards the cutoff, which refuses only what
-make_<kind>(param, cutoff) refuses, from the member's amplitudes alone.
+series of quasiprob._origin_series and its truncation tail, 2/(pi(1-s))
+times a missing mass. That mass is 1 - sum p for delta_a and the identity
+map; a map other than the identity mixes in the levels that a d x d matrix
+of trace T left out, so delta_b counts m + 2 sqrt(m T) + |T - sum p'|,
+m = max(1 - T, d 2^-52) (_mapped_photons). Every verdict is _report's,
+delta + tail < 0, where tail is 0 for a closed form, so truncation never
+makes a witness conclusive. A public function checks its inputs once, then
+guards the cutoff, which refuses only what make_<kind>(param, cutoff)
+refuses, from the member's amplitudes alone.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ import numpy as np
 from .bounds import _fminbound, pure_bound
 from .fock import (ChannelSpec, GaussianMapSpec, TruncatedState, TruncationError,
                    _check_fits, _member_vector, mapped_photon_probs, photon_probs)
-from .quasiprob import _coerce_s, _family_origin, _origin_series
+from .quasiprob import _coerce_s, _family_origin, _origin_series, _vacuum_origin
 
 SCAN_POINTS = 200  # loss grid of the threshold scan
 DEFAULT_CUTOFF = 80  # the cutoff a family member is guarded at
@@ -115,14 +119,15 @@ def _report(sv: float, q_value: float, nbar: float, tail: float,
                          conclusive=delta + tail < 0, map=gmap)
 
 
-def _photon_witness(p, s, nbar_slack: float,
-                    gmap: GaussianMapSpec | None = None) -> WitnessReport:
+def _photon_witness(p, s, nbar_slack: float, gmap: GaussianMapSpec | None = None,
+                    missing: float | None = None) -> WitnessReport:
     """First-criterion witness of the photon numbers p of a caller's state,
-    with the truncation tail of its origin series."""
+    with the truncation tail of its origin series: missing times the
+    vacuum's value, missing 1 - sum p unless given."""
     if not (math.isfinite(nbar_slack) and nbar_slack >= 0):
         raise ValueError(f"nbar_slack must be finite and >= 0, got {nbar_slack}")
     sv = _coerce_s(s)
-    q_value, tail = _origin_series(p, sv)
+    q_value, tail = _origin_series(p, sv, missing)
     nbar = float(np.dot(np.arange(p.size), p)) + nbar_slack
     return _report(sv, q_value, nbar, tail, gmap)
 
@@ -145,11 +150,34 @@ def delta_a(state: TruncatedState, s, nbar_slack: float = 0.0) -> WitnessReport:
     return _photon_witness(photon_probs(state), s, nbar_slack)
 
 
+def _mapped_photons(state: TruncatedState, gmap: GaussianMapSpec):
+    """Photon numbers p' of the mapped state and the mass their origin series
+    misses (None for 1 - sum p').
+
+    A map other than the identity mixes the kept levels with the ones the
+    caller's matrix of trace T leaves out. The matrix is one block of any
+    state it was cut from; the rest has trace norm at most m + 2 sqrt(m T),
+    m = 1 - T (an off-diagonal block B of a PSD matrix has |B|_1 <=
+    sqrt(T m)), and p' misses |T - sum p'| of the trace (an overshoot too,
+    which _map_core accepts up to MAP_TRUNCATION_LIMIT). So the missing mass
+    is m + 2 sqrt(m T) + |T - sum p'|, with m at least d 2^-52, the
+    roundoff of a trace of d levels. The identity misses 1 - sum p only."""
+    p = mapped_photon_probs(state, gmap)
+    if gmap.is_identity:
+        return p, None
+    trace = float(np.trace(state.matrix).real)
+    m = max(1.0 - trace, state.dim * 2.0 ** -52)
+    return p, m + 2.0 * math.sqrt(m * trace) + abs(trace - float(p.sum()))
+
+
 def delta_b(state: TruncatedState, s, gmap: GaussianMapSpec,
             nbar_slack: float = 0.0) -> WitnessReport:
     """Second-criterion witness: first-criterion witness of the mapped state
-    (nbar_slack as for delta_a)."""
-    return _photon_witness(mapped_photon_probs(state, gmap), s, nbar_slack, gmap)
+    (nbar_slack as for delta_a). Its tail is 2/(pi(1-s)) times the mass of
+    _mapped_photons: under a map other than the identity, m + 2 sqrt(m T) +
+    |T - sum p'| for a matrix of trace T, m = max(1 - T, d 2^-52)."""
+    p, missing = _mapped_photons(state, gmap)
+    return _photon_witness(p, s, nbar_slack, gmap, missing)
 
 
 def beta_opt(alpha: float, epsilon: float) -> complex:
@@ -226,7 +254,7 @@ def _lossy_witness(family: StateFamily, eps, sv: float, moments,
     eta = 1.0 - eps
     n0, a1, a2 = moments
     if gmap is None or gmap.is_identity:  # sigma+ = sigma-, U' = 1
-        scale = 2.0 / (np.pi * (1.0 - sv))  # the vacuum's value, as bound_at_zero
+        scale = _vacuum_origin(sv)
         if family.kind == "fock":  # Q_s2(0)[|m>] / eta = scale x^m
             q_value = scale * (eps - eta * (1.0 + sv) / (1.0 - sv)) ** int(family.param)
         elif np.ndim(eps):

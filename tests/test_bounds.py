@@ -10,6 +10,7 @@ from qng.bounds import (N_MAX, _fminbound, _minimized_bound, bound_at_zero,
                         m_minus1_closed, pure_bound, rank2_search,
                         wigner_bound_closed)
 from qng.quasiprob import S_MIN, _origin_series, qs_pure_gaussian
+from qng.witness import StateFamily, witness_at_loss
 
 S_VALUES = [-0.25, -0.5, -1.0, -2.0, -3.0]
 
@@ -41,6 +42,11 @@ def test_bound_at_zero_is_the_vacuum_origin_value(s):
     assert bound_at_zero(s) == vacuum == pure_bound(0.0, s)[0]
     bound = pure_bound(np.array([0.0, 1.0, 0.0]), s)[0]
     assert (bound[0], bound[2]) == (vacuum, vacuum)
+    # full loss leaves every family member the vacuum, under both criteria
+    for family in (StateFamily("fock", 3), StateFamily("pac", 2.0),
+                   StateFamily("pss", 0.5)):
+        for criterion in ("a", "b"):
+            assert witness_at_loss(family, s, 1.0, criterion).q_value == vacuum
 
 
 @pytest.mark.parametrize("closed", [wigner_bound_closed, m_minus1_closed])

@@ -235,6 +235,15 @@ class TestWitnessCurve:
                            "--step", "1", "--s", "0", "--eps", "0"], capsys)
         assert code == 2  # a curve takes exactly one family member
 
+    def test_family_step_is_not_a_flag(self, capsys):
+        # a curve takes one family member, so it has no family --step
+        code, _ = run_cli(["witness-curve", "--family", "pac", "--alpha", "2",
+                           "--step", "1", "--s", "0", "--eps", "0"], capsys)
+        assert code == 2
+        with pytest.raises(SystemExit):
+            main(["witness-curve", "--help"])
+        assert "--step" not in capsys.readouterr().out.replace("--eps-step", "")
+
     @pytest.mark.parametrize("s,code", [
         (S_MIN, 0), (np.nextafter(S_MIN, -np.inf), 2), (-1e200, 2)],
         ids=["floor", "past-floor", "huge"])
@@ -376,6 +385,19 @@ class TestErrorBars:
         assert captured.out == ""
         assert captured.err.startswith("error:")
         assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["threshold", "--family", "fock", "--m", "1..3", "--s", "0",
+      "--cutoff", "2"], 3),
+    (["error-bars", "--s", "-1", "--n-avg", "0..1", "--step", "1",
+      "--k", "10000000"], 2)], ids=["threshold", "error-bars"])
+def test_failing_row_writes_no_out_file(tmp_path, capsys, argv, code):
+    # the first rows succeed; the whole text is built before --out is opened
+    out_file = tmp_path / "rows.csv"
+    assert main([*argv, "--out", str(out_file)]) == code
+    assert capsys.readouterr().out == ""
+    assert not out_file.exists()
 
 
 def test_out_of_memory_is_numerical_failure(monkeypatch, capsys):

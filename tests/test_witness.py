@@ -16,9 +16,9 @@ from qng.fock import (ChannelSpec, GaussianMapSpec, TruncatedState,
                       make_pac, make_pss, make_squeezed, mapped_photon_probs,
                       mix, moments)
 from qng.quasiprob import _family_origin, _origin_series, qs_origin_error
-from qng.witness import (StateFamily, _lossy_witness, _refine, beta_opt, delta_a,
-                         delta_b, epsilon_threshold, q_opt, refine_map,
-                         witness_at_loss, witness_curve)
+from qng.witness import (StateFamily, _lossy_witness, _mapped_photons, _refine,
+                         beta_opt, delta_a, delta_b, epsilon_threshold, q_opt,
+                         refine_map, witness_at_loss, witness_curve)
 
 
 def member_state(family, cutoff):
@@ -387,6 +387,65 @@ class TestDeltaB:
         gmap = GaussianMapSpec(displacement=beta_opt(2.0, 0.6))
         rep = delta_b(st, -1, gmap)
         assert rep.conclusive
+
+    def test_mapped_gaussian_state_not_certified(self):
+        # a pure Gaussian state, whose bound here is 9.9e-68: the map mixes
+        # the levels past cutoff 80 into the kept ones, and a tail of only
+        # 1 - sum p' certified it with q_value -4.8e-6
+        st = make_displaced_squeezed(-1.22 + 1.56j, -1.0, 80)
+        rep = delta_b(st, 0, GaussianMapSpec(displacement=0.66 + 1.39j,
+                                             squeeze=0.75))
+        assert rep.q_value < 0 < rep.bound
+        assert not rep.conclusive
+
+    def test_seeded_gaussian_draws_never_certified(self):
+        # 22 of these 642 verdicts were conclusive under the tail 1 - sum p'
+        rng = np.random.default_rng(5)
+        verdicts = []
+        for _ in range(600):
+            alpha, r = complex(*rng.uniform(-2.5, 2.5, 2)), rng.uniform(-1, 1)
+            gmap = GaussianMapSpec(displacement=complex(*rng.uniform(-2.5, 2.5, 2)),
+                                   squeeze=rng.uniform(-1.2, 1.2))
+            try:
+                st = make_displaced_squeezed(alpha, r, 80)
+            except TruncationError:
+                continue
+            for s in (0.0, -0.5):
+                try:
+                    verdicts.append(delta_b(st, s, gmap).conclusive)
+                except TruncationError:
+                    pass
+        assert len(verdicts) == 642 and not any(verdicts)
+
+    @pytest.mark.parametrize("kind,make,params", [
+        ("pac", make_pac, (0.5, 2.0, 3.0)), ("pss", make_pss, (0.1, 0.5, 1.0))])
+    def test_tail_covers_the_closed_form(self, kind, make, params):
+        # the untruncated member's origin value lies within the tail of the
+        # mapped series; under D(1+i)S(-0.6) at cutoff 80 and s = 0 the PSS
+        # r = 1 series is off by 8.0e-7, where 1 - sum p' gave a tail of 1.2e-9
+        maps = [GaussianMapSpec(1 + 1j, -0.6), GaussianMapSpec(0.5),
+                GaussianMapSpec(squeeze=0.4), GaussianMapSpec(-1.5j),
+                GaussianMapSpec(0.8 - 0.3j, 0.3), GaussianMapSpec(squeeze=-0.9)]
+        points = 0
+        for param in params:
+            for cutoff in (20, 40, 80, 120, 200):
+                try:
+                    st = make(param, cutoff)
+                except TruncationError:
+                    continue
+                for gmap in maps:
+                    try:
+                        p, missing = _mapped_photons(st, gmap)
+                    except TruncationError:
+                        continue
+                    for s in (0.0, -0.5, -1.0, -2.0):
+                        q_value, tail = _origin_series(p, s, missing)
+                        assert q_value == delta_b(st, s, gmap).q_value
+                        exact = _family_origin(kind, param, complex(gmap.displacement),
+                                               gmap.squeeze, s)
+                        assert abs(q_value - exact) <= tail + 1e-15
+                        points += 1
+        assert points >= 200
 
 
 @pytest.fixture
