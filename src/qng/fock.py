@@ -29,7 +29,8 @@ loss and real maps act on it in real arithmetic; complex inputs run the same
 code in complex128. A cutoff that is not an integer >= 1 is one ValueError
 where amplitudes start (_check_cutoff), a Fock number must be a whole number
 >= 0, and a non-finite beta or q is refused by name. A pure state that leaves
-TRUNCATION_LIMIT of its norm past the cutoff, and a map that moves more than
+TRUNCATION_LIMIT of its norm past the cutoff (or a NaN norm), a PAC alpha or
+PSS r too large for floating point, and a map that moves more than
 MAP_TRUNCATION_LIMIT of the trace across it either way, raise TruncationError.
 """
 
@@ -153,13 +154,14 @@ def _check_cutoff(cutoff) -> None:
 def _check_fits(psi: np.ndarray, what: str) -> None:
     """Refuse psi unless its levels 0..psi.size - 1 keep all but TRUNCATION_LIMIT
     of its norm: a kept norm above 1 means the amplitudes cancelled in floating
-    point (a PSS r of about 100 or more), and no cutoff holds that state either."""
+    point (a PSS r of about 100 or more), and no cutoff holds that state either;
+    a NaN norm (a PAC alpha of about 1e154) is refused as a tail."""
     cutoff = psi.size - 1
     norm = float(np.sum(np.abs(psi) ** 2))
     if norm > 1.0 + TRACE_TOL:
         raise TruncationError(f"cutoff {cutoff} keeps norm {norm:.3e} > 1 for {what}")
-    tail = max(0.0, 1.0 - norm)
-    if tail >= TRUNCATION_LIMIT:
+    tail = 1.0 - norm
+    if not tail < TRUNCATION_LIMIT:  # NaN fails this too
         raise TruncationError(f"cutoff {cutoff} leaves tail {tail:.3e} for {what}")
 
 
@@ -181,8 +183,11 @@ def _member_vector(kind: str, param, cutoff: int) -> tuple[np.ndarray, str]:
         psi = np.zeros(cutoff + 1)
         psi[param] = 1.0
         return psi, f"Fock state |{param}>"
-    name = "PAC alpha" if kind == "pac" else "PSS r"
-    return _family_vector(kind, param, cutoff), f"{name}={param:.3g}"
+    what = f"{'PAC alpha' if kind == 'pac' else 'PSS r'}={param:.3g}"
+    try:
+        return _family_vector(kind, param, cutoff), what
+    except OverflowError:  # alpha^2 past about 1.3e154, sinh r past r = 710
+        raise TruncationError(f"{what} is too large for floating point") from None
 
 
 def _fock_number(m) -> int:

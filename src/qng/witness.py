@@ -44,7 +44,8 @@ import numpy as np
 
 from .bounds import _fminbound, pure_bound
 from .fock import (ChannelSpec, GaussianMapSpec, TruncatedState, TruncationError,
-                   _check_fits, _member_vector, mapped_photon_probs, photon_probs)
+                   _check_fits, _fock_number, _member_vector, mapped_photon_probs,
+                   photon_probs)
 from .quasiprob import _coerce_s, _family_origin, _origin_series, _vacuum_origin
 
 SCAN_POINTS = 200  # loss grid of the threshold scan
@@ -66,16 +67,16 @@ class StateFamily:
     """One-parameter input family: Fock |m>, PAC(alpha) or PSS(r)."""
 
     kind: str  # "fock" | "pac" | "pss"
-    param: float
+    param: float  # an int for a Fock state
 
     def __post_init__(self):
         if self.kind not in ("fock", "pac", "pss"):
             raise ValueError(f"unknown family kind {self.kind!r}")
-        name = {"fock": "Fock number m", "pac": "PAC alpha", "pss": "PSS r"}[self.kind]
-        if not (math.isfinite(self.param) and self.param >= 0):
+        if self.kind == "fock":
+            object.__setattr__(self, "param", _fock_number(self.param))
+        elif not (math.isfinite(self.param) and self.param >= 0):
+            name = "PAC alpha" if self.kind == "pac" else "PSS r"
             raise ValueError(f"{name} must be finite and >= 0, got {self.param}")
-        if self.kind == "fock" and self.param != int(self.param):
-            raise ValueError(f"{name} must be an integer, got {self.param}")
 
     def moments(self) -> tuple[float, complex, complex]:
         """Closed-form (mean photon number, <a>, <a^2>), with no cutoff."""
@@ -93,17 +94,12 @@ class StateFamily:
 def _guard(family: StateFamily, cutoff: int) -> None:
     """Refuse what make_<kind>(param, cutoff) refuses, with the same exception
     and message: the same amplitudes and checks, with no density matrix."""
-    param = int(family.param) if family.kind == "fock" else family.param
-    _check_fits(*_member_vector(family.kind, param, cutoff))
+    _check_fits(*_member_vector(family.kind, family.param, cutoff))
 
 
 @dataclass(frozen=True)
 class ThresholdResult:
-    s: float
-    family: StateFamily
-    criterion: str  # "a" | "b"
     epsilon_star: float | str  # value in [0,1] or sentinel "none" / "one"
-    bisection_tol: float
 
 
 def _report(sv: float, q_value: float, nbar: float, tail: float,
@@ -250,26 +246,27 @@ def _lossy_witness(family: StateFamily, eps, sv: float, moments,
     """Witness of a family member, with closed moments, after checked loss
     eps and the map gmap (None for no map), by the identity of the module
     docstring. With no map or the identity eps may be an array of losses;
-    under any other map it is a float and the member is PAC or PSS."""
+    under any other map it is a float and the member is PAC or PSS. The
+    identity on one loss short of full loss is the map formula at beta = q = 0
+    for PAC and PSS, which gives the same bits."""
     eta = 1.0 - eps
     n0, a1, a2 = moments
-    if gmap is None or gmap.is_identity:  # sigma+ = sigma-, U' = 1
+    identity = gmap is None or gmap.is_identity  # sigma+ = sigma-, U' = 1
+    if identity and (family.kind == "fock" or np.ndim(eps) or eta == 0.0):
         scale = _vacuum_origin(sv)
         if family.kind == "fock":  # Q_s2(0)[|m>] / eta = scale x^m
-            q_value = scale * (eps - eta * (1.0 + sv) / (1.0 - sv)) ** int(family.param)
+            q_value = scale * (eps - eta * (1.0 + sv) / (1.0 - sv)) ** family.param
         elif np.ndim(eps):
             full = eta == 0.0
             kept = np.where(full, 1.0, eta)
             origin = _family_origin(family.kind, family.param, 0j, 0.0,
                                     -(eps - sv) / kept) / kept
             q_value = np.where(full, scale, origin)
-        elif eta == 0.0:  # full loss leaves the vacuum
+        else:  # full loss leaves the vacuum
             q_value = scale
-        else:
-            q_value = _family_origin(family.kind, family.param, 0j, 0.0,
-                                     -(eps - sv) / eta) / eta
         return _report(sv, q_value, eta * n0, 0.0, gmap)
-    beta, q = complex(gmap.displacement), float(gmap.squeeze)
+    beta, q = (0j, 0.0) if identity else (complex(gmap.displacement),
+                                           float(gmap.squeeze))
     if eps == 0.0:  # no loss: U' = U (at s = 0 sigma+- would be 0/0)
         s2, q2 = sv, -q
     else:
@@ -333,10 +330,10 @@ def witness_curve(family: StateFamily, s_values, eps_values, criterion: str,
 def epsilon_threshold(family: StateFamily, s, criterion: str = "a",
                       tol: float = 1e-5,
                       cutoff: int = DEFAULT_CUTOFF) -> ThresholdResult:
-    """Largest loss at which the witness stays conclusive.
-
-    Returns sentinel "one" when still conclusive at epsilon = 1 - tol and
-    "none" when inconclusive at every scanned loss: the SCAN_POINTS grid and,
+    """Largest loss at which the witness stays conclusive, as epsilon_star,
+    the one field of the result: a float within tol of it, sentinel "one"
+    when still conclusive at epsilon = 1 - tol, or sentinel "none" when
+    inconclusive at every scanned loss: the SCAN_POINTS grid and,
     for a Fock state, eps0 = (1+s)/2 where it lies inside the grid. The
     conclusive region can start away from epsilon = 0 (even Fock states have
     a positive parity at zero loss), so the scan walks down from high loss
@@ -375,7 +372,6 @@ def epsilon_threshold(family: StateFamily, s, criterion: str = "a",
                         lo = mid
                     else:
                         hi = mid
-                star = 0.5 * (lo + hi)
+                star = float(0.5 * (lo + hi))
                 break
-    return ThresholdResult(s=sv, family=family, criterion=criterion,
-                           epsilon_star=star, bisection_tol=tol)
+    return ThresholdResult(star)

@@ -160,6 +160,26 @@ class TestThreshold:
         assert captured.err.startswith("numerical failure:")
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("flag,value,what", [
+        ("--alpha", "1e154", "PAC alpha=1e+154"),
+        ("--alpha", "1e155", "PAC alpha=1e+155"),
+        ("--alpha", "1e200", "PAC alpha=1e+200"),
+        ("--r", "1e10", "PSS r=1e+10")])
+    @pytest.mark.parametrize("criterion", ["a", "b"])
+    def test_member_too_large_for_floating_point_is_numerical_failure(
+            self, capsys, flag, value, what, criterion):
+        # these used to exit 2 on a mean photon number of nan, or exit 3
+        # with an overflow message that named no member
+        family = "pac" if flag == "--alpha" else "pss"
+        code = main(["threshold", "--family", family, flag, value, "--s", "-1",
+                     "--criterion", criterion])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err.startswith("numerical failure:")
+        assert captured.err.count("\n") == 1
+        assert what in captured.err
+
     def test_missing_family_param(self, capsys):
         code, _ = run_cli(["threshold", "--family", "pac", "--s", "0"],
                           capsys)

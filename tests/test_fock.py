@@ -102,6 +102,24 @@ class TestConstructors:
         with pytest.raises(TruncationError, match="norm"):
             make_pss(100, 80)
 
+    def test_nan_amplitudes_are_truncation(self):
+        # at alpha = 1e154, 26 of the cutoff-80 amplitudes are NaN: the guard
+        # used to accept their NaN norm, and the trace check raised ValueError
+        with pytest.raises(TruncationError,
+                           match=r"^cutoff 80 leaves tail nan for PAC alpha=1e\+154$"):
+            make_pac(1e154, 80)
+
+    @pytest.mark.parametrize("make,param,what", [
+        (make_pac, 1e155, "PAC alpha=1e+155"), (make_pac, 1e200, "PAC alpha=1e+200"),
+        (make_pss, 711.0, "PSS r=711"), (make_pss, 1e10, "PSS r=1e+10")])
+    def test_parameter_too_large_for_floating_point_refused_by_name(
+            self, make, param, what):
+        # alpha ** 2 and sinh r overflow: these used to raise OverflowError
+        # with no name in the message
+        with pytest.raises(TruncationError) as refused:
+            make(param, 80)
+        assert str(refused.value) == f"{what} is too large for floating point"
+
     def test_squeezed_vacuum_photon_number(self):
         st = make_squeezed(0.3, 40)
         assert moments(st)[0] == pytest.approx(np.sinh(0.3) ** 2, abs=1e-10)
