@@ -11,6 +11,6 @@ from .fock import (ChannelSpec, GaussianMapSpec, TruncatedState, TruncationError
 from .quasiprob import qs_fock, qs_origin, qs_origin_error, qs_pure_gaussian
 from .witness import (StateFamily, ThresholdResult, WitnessReport, beta_opt,
                       delta_a, delta_b, epsilon_threshold, q_opt, refine_map,
-                      witness_at_loss)
+                      witness_at_loss, witness_curve)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -32,13 +32,13 @@ def _fmt(x) -> str:
     return f"{x:.17g}"
 
 
-def parse_range(text: str, step: float | None) -> list[float]:
-    """Parse 'lo..hi' (finite, lo <= hi, needs --step) or a single number."""
+def parse_range(text: str, step: float | None, flag: str = "--step") -> list[float]:
+    """Parse 'lo..hi' (finite, lo <= hi, needs step, set by flag) or one number."""
     if ".." in text:
         lo_s, hi_s = text.split("..", 1)
         lo, hi = float(lo_s), float(hi_s)
         if step is None or not 0 < step < math.inf:
-            raise ValueError("range arguments need a positive finite --step")
+            raise ValueError(f"range arguments need a positive finite {flag}")
         if not (math.isfinite(lo) and math.isfinite(hi)) or hi < lo:
             raise ValueError(f"range {text!r} needs finite ends with lo <= hi")
         if (hi - lo) / step + 1 > MAX_GRID_POINTS:
@@ -76,9 +76,12 @@ def _emit(path: str | None, header: str, rows) -> int:
 
 
 def _families(args, step: float | None) -> list[StateFamily]:
-    spec = {"fock": args.m, "pac": args.alpha, "pss": args.r}[args.family]
+    flag = {"fock": "m", "pac": "alpha", "pss": "r"}[args.family]
+    spec = getattr(args, flag)  # None when the one flag given is another family's
     if spec is None:
-        raise ValueError(f"family {args.family!r} needs its parameter flag")
+        raise ValueError(f"--family {args.family} needs its parameter flag --{flag}")
+    if step is None and ".." in spec:  # witness-curve has no family --step
+        raise ValueError(f"{args.command} takes one family member, not {spec!r}")
     return [StateFamily(kind=args.family, param=p) for p in parse_range(spec, step)]
 
 
@@ -97,9 +100,8 @@ def cmd_threshold(args) -> int:
 
 
 def cmd_witness_curve(args) -> int:
-    (family,) = _families(args, None)  # one member: a range needs a step
-    s_values = parse_s_list(args.s)
-    eps_values = parse_range(args.eps, args.eps_step)
+    (family,), s_values = _families(args, None), parse_s_list(args.s)
+    eps_values = parse_range(args.eps, args.eps_step, "--eps-step")
     deltas = witness_curve(family, s_values, eps_values, args.criterion,
                            cutoff=args.cutoff)
     return _emit(args.out, "epsilon,s,delta", (
@@ -144,11 +146,8 @@ def build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--out", default=None)
     pb.set_defaults(func=cmd_bound_curve)
 
-    def cutoff(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    def cutoff(text: str) -> int:  # argparse reports a ValueError of int()
+        value = int(text)
         if not 1 <= value <= MAX_CUTOFF:
             raise argparse.ArgumentTypeError(
                 f"must be in [1, {MAX_CUTOFF}], got {text}")
@@ -157,12 +156,10 @@ def build_parser() -> argparse.ArgumentParser:
     def add_family_flags(p):
         p.add_argument("--family", choices=("fock", "pac", "pss"),
                        required=True)
-        p.add_argument("--m", default=None,
-                       help="Fock number or range lo..hi")
-        p.add_argument("--alpha", default=None,
-                       help="PAC amplitude or range lo..hi")
-        p.add_argument("--r", default=None,
-                       help="PSS squeezing or range lo..hi")
+        member = p.add_mutually_exclusive_group()  # one family's flag
+        member.add_argument("--m", help="Fock number or range lo..hi")
+        member.add_argument("--alpha", help="PAC amplitude or range lo..hi")
+        member.add_argument("--r", help="PSS squeezing or range lo..hi")
         p.add_argument("--s", required=True,
                        help="comma-separated ordering parameters, all <= 0")
         p.add_argument("--cutoff", type=cutoff, default=DEFAULT_CUTOFF)

@@ -27,8 +27,9 @@ checked where it happens, and only have their trace checked against 1.
 Real states stay real: a matrix with real entries is stored as float64, and
 loss and real maps act on it in real arithmetic; complex inputs run the same
 code in complex128. A cutoff that is not an integer >= 1 is one ValueError
-where amplitudes start (_check_cutoff), a Fock number must be a whole number
->= 0, and a non-finite beta or q is refused by name. A pure state that leaves
+where amplitudes start (_check_cutoff), a family parameter has one rule
+(_family_param: a whole Fock m >= 0, a finite PAC alpha or PSS r >= 0), and
+a non-finite beta or q is refused by name. A pure state that leaves
 TRUNCATION_LIMIT of its norm past the cutoff (or a NaN norm), a PAC alpha or
 PSS r too large for floating point, and a map that moves more than
 MAP_TRUNCATION_LIMIT of the trace across it either way, raise TruncationError.
@@ -49,6 +50,7 @@ EIGVAL_TOL = 1e-8
 TRUNCATION_LIMIT = 1e-6
 MAP_TRUNCATION_LIMIT = 1e-8
 RESCALE_AT = 2.0 ** 500  # a power of two, so rescaling is exact
+_PARAM_NAMES = {"fock": "Fock number m", "pac": "PAC alpha", "pss": "PSS r"}
 
 
 class TruncationError(Exception):
@@ -171,10 +173,23 @@ def _state_from_vector(psi: np.ndarray, what: str) -> TruncatedState:
     return _trusted_state(np.outer(psi, psi.conj()))
 
 
+def _family_param(kind: str, param):
+    """A family member's parameter once valid: a Fock m as an int, once a whole
+    number >= 0; a PAC alpha or PSS r as given, once finite and >= 0."""
+    if kind not in _PARAM_NAMES:
+        raise ValueError(f"unknown family kind {kind!r}")
+    if not (param >= 0 and math.isfinite(param)  # NaN fails this too
+            and (kind != "fock" or param == math.floor(param))):
+        rule = "an integer" if kind == "fock" else "finite and"
+        raise ValueError(f"{_PARAM_NAMES[kind]} must be {rule} >= 0, got {param!r}")
+    return int(param) if kind == "fock" else param
+
+
 def _member_vector(kind: str, param, cutoff: int) -> tuple[np.ndarray, str]:
     """Amplitudes on levels 0..cutoff of the Fock state |param> or of the PAC
     or PSS state of _family_ladder, and the state's name for error messages;
     a Fock state past the cutoff raises TruncationError."""
+    param = _family_param(kind, param)
     _check_cutoff(cutoff)
     if kind == "fock":
         if param > cutoff:
@@ -183,23 +198,16 @@ def _member_vector(kind: str, param, cutoff: int) -> tuple[np.ndarray, str]:
         psi = np.zeros(cutoff + 1)
         psi[param] = 1.0
         return psi, f"Fock state |{param}>"
-    what = f"{'PAC alpha' if kind == 'pac' else 'PSS r'}={param:.3g}"
+    what = f"{_PARAM_NAMES[kind]}={param:.3g}"
     try:
         return _family_vector(kind, param, cutoff), what
     except OverflowError:  # alpha^2 past about 1.3e154, sinh r past r = 710
         raise TruncationError(f"{what} is too large for floating point") from None
 
 
-def _fock_number(m) -> int:
-    """The Fock number m as an int, once it is a whole number >= 0."""
-    if not (m >= 0 and math.isfinite(m) and m == math.floor(m)):  # NaN fails
-        raise ValueError(f"Fock number m must be an integer >= 0, got {m!r}")
-    return int(m)
-
-
 def make_fock(m: int, cutoff: int) -> TruncatedState:
     """Fock state |m><m|."""
-    return _state_from_vector(*_member_vector("fock", _fock_number(m), cutoff))
+    return _state_from_vector(*_member_vector("fock", m, cutoff))
 
 
 def make_coherent(alpha: complex, cutoff: int) -> TruncatedState:
@@ -209,7 +217,7 @@ def make_coherent(alpha: complex, cutoff: int) -> TruncatedState:
 
 
 def make_pac(alpha: float, cutoff: int) -> TruncatedState:
-    """Photon-added coherent state, normalized a^dag |alpha>."""
+    """Photon-added coherent state a^dag|alpha>, normalized; alpha finite, >= 0."""
     return _state_from_vector(*_member_vector("pac", alpha, cutoff))
 
 
@@ -220,9 +228,7 @@ def make_squeezed(r: float, cutoff: int) -> TruncatedState:
 
 
 def make_pss(r: float, cutoff: int) -> TruncatedState:
-    """Photon-subtracted squeezed state, normalized a S(r)|0> = sinh r S(r)|1>."""
-    if r < 0:
-        raise ValueError("r must be >= 0")
+    """Photon-subtracted squeezed state a S(r)|0> / sinh r = S(r)|1>; r finite, >= 0."""
     return _state_from_vector(*_member_vector("pss", r, cutoff))
 
 

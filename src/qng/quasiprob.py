@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .fock import TruncatedState, _family_ladder, _fock_number, photon_probs
+from .fock import TruncatedState, _family_ladder, _family_param, photon_probs
 
 
 # Lowest ordering parameter accepted. From S_MIN up to 0 every origin formula
@@ -43,7 +43,7 @@ def _vacuum_origin(sv: float) -> float:
 
 def qs_fock(m: int, s) -> float:
     """Closed-form quasiprobability of |m><m| at the origin."""
-    sv, m = _coerce_s(s), _fock_number(m)
+    sv, m = _coerce_s(s), _family_param("fock", m)
     return _vacuum_origin(sv) * (-1.0) ** m * ((1.0 + sv) / (1.0 - sv)) ** m
 
 

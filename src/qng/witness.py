@@ -43,9 +43,9 @@ from functools import cache, partial
 import numpy as np
 
 from .bounds import _fminbound, pure_bound
-from .fock import (ChannelSpec, GaussianMapSpec, TruncatedState, TruncationError,
-                   _check_fits, _fock_number, _member_vector, mapped_photon_probs,
-                   photon_probs)
+from .fock import (_PARAM_NAMES, ChannelSpec, GaussianMapSpec, TruncatedState,
+                   TruncationError, _check_fits, _family_param, _member_vector,
+                   mapped_photon_probs, photon_probs)
 from .quasiprob import _coerce_s, _family_origin, _origin_series, _vacuum_origin
 
 SCAN_POINTS = 200  # loss grid of the threshold scan
@@ -70,13 +70,7 @@ class StateFamily:
     param: float  # an int for a Fock state
 
     def __post_init__(self):
-        if self.kind not in ("fock", "pac", "pss"):
-            raise ValueError(f"unknown family kind {self.kind!r}")
-        if self.kind == "fock":
-            object.__setattr__(self, "param", _fock_number(self.param))
-        elif not (math.isfinite(self.param) and self.param >= 0):
-            name = "PAC alpha" if self.kind == "pac" else "PSS r"
-            raise ValueError(f"{name} must be finite and >= 0, got {self.param}")
+        object.__setattr__(self, "param", _family_param(self.kind, self.param))
 
     def moments(self) -> tuple[float, complex, complex]:
         """Closed-form (mean photon number, <a>, <a^2>), with no cutoff."""
@@ -177,23 +171,25 @@ def delta_b(state: TruncatedState, s, gmap: GaussianMapSpec,
 
 
 def beta_opt(alpha: float, epsilon: float) -> complex:
-    """Approximate optimal re-centering displacement for a lossy PAC state."""
-    if not alpha >= 0:  # NaN fails this too
-        raise ValueError(f"alpha must be >= 0, got {alpha}")
-    if not 0.0 <= epsilon <= 1.0:
-        raise ValueError(f"epsilon must be in [0, 1], got {epsilon}")
+    """Displacement -alpha sqrt(1 - epsilon) for a lossy PAC; alpha finite, >= 0."""
+    alpha, epsilon = _family_param("pac", alpha), ChannelSpec(epsilon).epsilon
     return complex(-alpha * np.sqrt(1.0 - epsilon))
 
 
 def q_opt(r: float, epsilon: float) -> float:
-    """Analytic squeezing that minimizes the photon number of a lossy PSS state."""
-    if not (r >= 0 and 0.0 <= epsilon <= 1.0):  # NaN fails this too
-        raise ValueError(f"need r >= 0 and epsilon in [0, 1], got {r}, {epsilon}")
-    mu_r2 = np.cosh(r) ** 2
-    disc = (4.0 * epsilon - 3.0) ** 2 + 12.0 * (1.0 - epsilon) * epsilon * mu_r2
-    mu = np.sqrt(0.5 * (1.0 + (6.0 * (1.0 - epsilon) * mu_r2 + 4.0 * epsilon - 3.0)
-                        / np.sqrt(disc)))
-    mu = max(mu, 1.0)  # numerical guard near the vacuum limit
+    """Analytic squeezing that minimizes the photon number of a lossy PSS
+    state; r finite, >= 0 (fock._family_param), epsilon in [0, 1]. An r whose
+    cosh(r)^2 terms overflow (from 354.7, by epsilon) raises TruncationError."""
+    r, epsilon = _family_param("pss", r), ChannelSpec(epsilon).epsilon
+    try:
+        with np.errstate(over="raise"):
+            mu2 = np.cosh(r) ** 2
+            disc = (4.0 * epsilon - 3.0) ** 2 + 12.0 * (1.0 - epsilon) * epsilon * mu2
+            ratio = (6.0 * (1.0 - epsilon) * mu2 + 4.0 * epsilon - 3.0) / np.sqrt(disc)
+    except FloatingPointError:
+        raise TruncationError(
+            f"{_PARAM_NAMES['pss']}={r:.3g} is too large for floating point") from None
+    mu = max(np.sqrt(0.5 * (1.0 + ratio)), 1.0)  # guard near the vacuum limit
     return float(-np.arccosh(mu))
 
 

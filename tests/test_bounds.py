@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
+import qng.bounds
 from qng.bounds import (N_MAX, _fminbound, _minimized_bound, bound_at_zero,
                         bound_objective, build_bound_curve, convexity_check,
                         m_minus1_closed, pure_bound, rank2_search,
@@ -203,6 +204,32 @@ class TestRank2:
     def test_constraint_satisfied(self):
         c = rank2_search(2.0, -1)
         assert c.p * c.n1 + (1 - c.p) * c.n2 <= 2.0 + 1e-9
+
+
+def _bumped_bound(n, s):
+    """A non-convex stand-in for pure_bound: exp(-n) with a bump at n = 2."""
+    n = np.asarray(n, dtype=float)
+    return np.exp(-n) + 0.5 * np.exp(-100.0 * (n - 2.0) ** 2), np.zeros_like(n)
+
+
+def test_rank2_search_finds_the_mixture_under_a_bump(monkeypatch):
+    # pure_bound is convex, so only a non-convex stand-in makes a mixture win
+    monkeypatch.setattr(qng.bounds, "pure_bound", _bumped_bound)
+    c = rank2_search(2.0, -1)
+    assert c.p < 1 and c.n1 < 2.0 < c.n2
+    assert c.p * c.n1 + (1 - c.p) * c.n2 == pytest.approx(2.0, abs=1e-9)
+    assert c.value < float(_bumped_bound(2.0, -1)[0]) - 0.4
+
+
+def test_convexity_check_reports_a_violation(monkeypatch):
+    monkeypatch.setattr(qng.bounds, "pure_bound", _bumped_bound)
+    report = convexity_check(-1, 4, 1)  # bound values at n = 0, 1, 2, 3, 4
+    assert not report.passed
+    assert report.first_violation == (1.0, 2.0, 3.0)
+    b = _bumped_bound(np.arange(5.0), -1)[0]
+    assert report.max_second_difference_deficit == pytest.approx(
+        -(b[1] - 2 * b[2] + b[3]))
+    assert not report.strictly_decreasing  # the bump rises from n = 1 to 2
 
 
 class TestConvexity:

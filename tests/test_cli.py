@@ -324,6 +324,29 @@ def test_family_parameter_out_of_range(flag, value, criterion, capsys):
     assert f" {flag[2:]} must be" in captured.err
 
 
+@pytest.mark.parametrize("args,err", [
+    (["witness-curve", "--family", "fock", "--m", "1", "--s", "0",
+      "--eps", "0..0.5"], "error: range arguments need a positive finite --eps-step\n"),
+    (["witness-curve", "--family", "pac", "--alpha", "1..2", "--s", "0",
+      "--eps", "0.5"], "error: witness-curve takes one family member, not '1..2'\n"),
+    (["threshold", "--family", "pac", "--alpha", "2", "--m", "3", "--r", "9",
+      "--s", "0"], "error: argument --m: not allowed with argument --alpha\n"),
+    (["threshold", "--family", "pac", "--m", "3", "--s", "0"],
+     "error: --family pac needs its parameter flag --alpha\n"),
+    (["threshold", "--family", "fock", "--m", "1", "--s", "0", "--cutoff", "1.5"],
+     "error: argument --cutoff: invalid cutoff value: '1.5'\n"),
+], ids=["eps-range-without-eps-step", "curve-family-range", "three-family-flags",
+        "another-familys-flag", "cutoff-not-an-integer"])
+def test_error_names_the_flag_typed(args, err, capsys):
+    # the first two used to name a --step, which witness-curve has not, and
+    # the flags of another family were ignored
+    code = main(args)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == err
+
+
 @pytest.mark.parametrize("args", [
     ["error-bars", "--s", "-1", "--n-avg", "1e17..1e17", "--step", "1"],
     # 2**53 + 1 rounds back to 2**53, so the range stops advancing midway

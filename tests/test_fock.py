@@ -205,14 +205,17 @@ class TestStateValidation:
         for m in (np.int64(2), 2.0):
             assert np.array_equal(make_fock(m, 4).matrix, make_fock(2, 4).matrix)
 
-    @pytest.mark.parametrize("build", [
-        lambda: make_coherent(np.inf, 10), lambda: make_pac(np.nan, 10),
-        lambda: make_pss(np.inf, 10), lambda: make_squeezed(np.nan, 10),
-        lambda: make_displaced_squeezed(complex(0, np.inf), 0.1, 10),
+    @pytest.mark.parametrize("build,name", [
+        (lambda: make_coherent(np.inf, 10), "beta and q"),
+        (lambda: make_pac(np.nan, 10), "PAC alpha"),
+        (lambda: make_pss(np.inf, 10), "PSS r"),
+        (lambda: make_squeezed(np.nan, 10), "beta and q"),
+        (lambda: make_displaced_squeezed(complex(0, np.inf), 0.1, 10), "beta and q"),
     ], ids=["coherent-inf", "pac-nan", "pss-inf", "squeezed-nan", "gaussian-inf"])
-    def test_non_finite_parameters_refused_by_name(self, build):
-        # these used to end in a RuntimeWarning and a NaN trace
-        with pytest.raises(ValueError, match="beta and q must be finite"):
+    def test_non_finite_parameters_refused_by_name(self, build, name):
+        # these used to end in a RuntimeWarning and a NaN trace; a PAC alpha
+        # or PSS r is refused by its own name, not as the beta it seeds
+        with pytest.raises(ValueError, match=rf"^{name} must be finite"):
             build()
 
 
@@ -479,6 +482,27 @@ def test_mix_rejects_non_finite_weight(w):
     a = make_fock(0, 10)
     with pytest.raises(ValueError, match="weights must be finite"):
         mix([a, a], [w, 1.0])
+
+
+def test_mix_rejects_unequal_lengths():
+    a = make_fock(0, 10)
+    with pytest.raises(ValueError, match="equal-length"):
+        mix([a, a], [1.0])
+    with pytest.raises(ValueError, match="nonempty"):
+        mix([], [])
+
+
+def test_mix_rejects_unequal_cutoffs():
+    with pytest.raises(ValueError, match="same cutoff"):
+        mix([make_fock(0, 10), make_fock(0, 11)], [0.5, 0.5])
+
+
+@pytest.mark.parametrize("displacement,squeeze", [
+    (complex(math.nan, 0), 0.0), (complex(0, math.inf), 0.0), (0.0, math.inf),
+    (0.0, -math.inf), (1.0, math.nan)])
+def test_gaussian_map_refuses_non_finite_parameters(displacement, squeeze):
+    with pytest.raises(ValueError, match="map parameters must be finite"):
+        GaussianMapSpec(displacement, squeeze)
 
 
 START_STATES = [make_fock(2, 60), make_pac(1.0, 60), make_pss(0.4, 60),

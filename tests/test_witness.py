@@ -749,6 +749,25 @@ class TestInputValidation:
             make_fock(m, 80)
         assert str(family.value) == str(state.value)
 
+    @pytest.mark.parametrize("kind,param", [
+        ("pac", -1.0), ("pac", np.nan), ("pac", np.inf),
+        ("pss", -0.5), ("pss", np.nan), ("pss", np.inf)])
+    def test_family_parameter_has_one_check(self, kind, param):
+        # the family, make_<kind> and the seed give one message naming the
+        # parameter; make_pac(-1.0, 10) used to build a state, make_pac(nan)
+        # and make_pss(inf) blamed a beta, beta_opt(inf) returned -inf and
+        # q_opt(inf) NaN with a RuntimeWarning
+        make, seed = {"pac": (make_pac, beta_opt), "pss": (make_pss, q_opt)}[kind]
+        name = {"pac": "PAC alpha", "pss": "PSS r"}[kind]
+        messages = set()
+        for build in (lambda: StateFamily(kind, param), lambda: make(param, 10),
+                      lambda: seed(param, 0.5)):
+            with pytest.raises(ValueError, match=f"^{name} must be finite and >= 0"
+                               ) as refused:
+                build()
+            messages.add(str(refused.value))
+        assert len(messages) == 1
+
     @pytest.mark.parametrize("m", [3, 3.0, np.int64(3), np.float64(3.0)])
     def test_fock_number_is_kept_as_an_int(self, m):
         assert type(StateFamily("fock", m).param) is int
@@ -799,15 +818,15 @@ class TestSeeds:
         # NaN passed the old range checks and came back as a nan seed
         with pytest.raises(ValueError, match="alpha"):
             beta_opt(np.nan, 0.5)
-        for r, eps in [(np.nan, 0.5), (0.5, np.nan)]:
-            with pytest.raises(ValueError, match="need r >= 0"):
+        for r, eps, name in [(np.nan, 0.5, "PSS r"), (0.5, np.nan, "epsilon")]:
+            with pytest.raises(ValueError, match=rf"^{name} must"):
                 q_opt(r, eps)
 
     @pytest.mark.parametrize("eps", [2.0, -0.5, np.nan])
     def test_beta_opt_rejects_loss_outside_unit_interval(self, eps):
         # beta_opt(1.0, 2.0) took the square root of -1 and beta_opt(1.0, -0.5)
         # returned -1.22, as q_opt refuses both
-        with pytest.raises(ValueError, match="epsilon must be in"):
+        with pytest.raises(ValueError, match="epsilon must lie in"):
             beta_opt(1.0, eps)
 
     @pytest.mark.parametrize("r", [0.0, 0.3, 0.5, 1.0])
@@ -821,6 +840,28 @@ class TestSeeds:
         res = minimize_scalar(nbar, bounds=(-1.5, 0.5), method="bounded",
                               options={"xatol": 1e-9})
         assert abs(q_opt(r, eps) - res.x) < 1e-6
+
+    @pytest.mark.filterwarnings("error")
+    def test_q_opt_large_r_is_finite_or_refused_by_name(self):
+        # cosh(r)^2 overflowed from r = 354.7 (by eps) into NaN and a
+        # RuntimeWarning
+        for r in (354.5, 354.7, 355.0, 355.5, 356.0, 711.0, 1e10):
+            for eps in np.linspace(0.0, 1.0, 21).tolist():
+                try:
+                    q = q_opt(r, eps)
+                except TruncationError as refused:
+                    assert r >= 354.7
+                    assert str(refused) == (
+                        f"PSS r={r:.3g} is too large for floating point")
+                else:
+                    assert np.isfinite(q) and -r <= q <= 0.0
+
+    @pytest.mark.filterwarnings("error")
+    def test_q_opt_near_the_overflow(self):
+        assert q_opt(354.5, 0.0) == -354.5  # no loss: undo the squeeze
+        assert q_opt(355.0, 0.5) == pytest.approx(-177.77, abs=5e-3)
+        with pytest.raises(TruncationError, match=r"^PSS r=356 "):
+            q_opt(356.0, 0.5)
 
     def test_q_opt_full_loss_is_zero(self):
         assert q_opt(0.7, 1.0) == 0.0
@@ -1201,3 +1242,13 @@ def test_identity_seed_threshold_is_criterion_a(monkeypatch, family, s, tol):
 def test_family_validation():
     with pytest.raises(ValueError):
         StateFamily("thermal", 1.0)
+
+
+def test_package_exports_every_public_witness_function():
+    # qng.witness_curve raised AttributeError although README lists it
+    public = {name for name, obj in vars(qng.witness).items()
+              if callable(obj) and not name.startswith("_")
+              and getattr(obj, "__module__", None) == "qng.witness"}
+    assert "witness_curve" in public
+    assert public <= set(qng.__all__)
+    assert qng.witness_curve is witness_curve
