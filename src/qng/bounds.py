@@ -268,9 +268,7 @@ def rank2_search(n: float, s) -> Rank2Candidate:
     for round_idx in range(RANK2_REFINE_ROUNDS + 1):
         n1g = np.linspace(lo1, hi1, RANK2_POINTS)
         span = hi2 - lo2
-        if span <= 0:
-            n2g = np.array([lo2])
-        elif round_idx == 0:
+        if round_idx == 0:
             n2g = lo2 + np.geomspace(1e-6 * span, span, RANK2_POINTS)
         else:
             n2g = np.linspace(lo2, hi2, RANK2_POINTS)
@@ -317,6 +315,11 @@ def build_bound_curve(s, n_max: float, step: float) -> list[tuple]:
 
 @dataclass(frozen=True)
 class ConvexityReport:
+    """Result of convexity_check on a grid of B_s(n): passed when convex within
+    tol and strictly_decreasing (above the underflow floor); first_violation,
+    the grid points around the most negative second difference if it is below
+    -tol; max_second_difference_deficit, how far that difference is below 0."""
+
     passed: bool
     first_violation: tuple[float, float, float] | None
     max_second_difference_deficit: float

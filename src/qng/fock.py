@@ -21,9 +21,11 @@ is how every family witness evaluates these states, with no vector.
 
 Validation runs at the boundary only: a TruncatedState built from a caller's
 matrix is checked in full (shape, finite entries, Hermitian, trace, positive
-semidefinite), while the states this module builds (pure states, loss, maps,
-mixtures) are positive semidefinite by construction, have their truncation
-checked where it happens, and only have their trace checked against 1.
+semidefinite), while the states this module builds from valid inputs (pure
+states, loss, maps, mixtures) are positive semidefinite by construction, have
+their truncation checked where it happens, and are not checked again: a trace
+over 1 by roundoff, or by up to MAP_TRUNCATION_LIMIT after a map, is counted
+in the truncation tail like a deficit.
 Real states stay real: a matrix with real entries is stored as float64, and
 loss and real maps act on it in real arithmetic; complex inputs run the same
 code in complex128. A cutoff that is not an integer >= 1 is one ValueError
@@ -89,8 +91,8 @@ class TruncatedState:
     """Density matrix on Fock levels 0..cutoff, cutoff its size - 1.
 
     Construction validates the matrix in full and accepts a trace in
-    (1 - TRUNCATION_LIMIT, 1 + TRACE_TOL]; a real matrix stays real. The
-    mass missing from the trace is the truncation tail.
+    (1 - TRUNCATION_LIMIT, 1 + TRACE_TOL]; a real matrix stays real. What
+    the trace misses of 1, either way, is the truncation tail (tail_bound).
     """
 
     matrix: np.ndarray = field(repr=False)
@@ -105,7 +107,9 @@ class TruncatedState:
         herm = np.max(np.abs(rho - rho.conj().T))
         if not herm <= HERMITICITY_TOL:
             raise ValueError(f"matrix not Hermitian (deviation {herm:.3e})")
-        tr = _check_trace(rho)
+        tr = float(np.real(np.trace(rho)))
+        if not tr <= 1.0 + TRACE_TOL:
+            raise ValueError(f"trace {tr} exceeds 1")
         if not tr > 1.0 - TRUNCATION_LIMIT:
             raise ValueError(f"trace {tr} misses {TRUNCATION_LIMIT:g} or more of 1")
         lam_min = float(np.linalg.eigvalsh(rho)[0])
@@ -123,25 +127,13 @@ class TruncatedState:
 
     @property
     def tail_bound(self) -> float:
-        """The mass missing from the trace, max(0, 1 - Tr rho)."""
-        return max(0.0, 1.0 - float(np.trace(self.matrix).real))
-
-
-def _check_trace(rho: np.ndarray) -> float:
-    """Tr rho, once it is at most 1 + TRACE_TOL (NaN fails this too)."""
-    tr = float(np.real(np.trace(rho)))
-    if not tr <= 1.0 + TRACE_TOL:
-        raise ValueError(f"trace {tr} exceeds 1")
-    return tr
+        """What the trace misses of 1 either way (a built state's can exceed 1)."""
+        return abs(1.0 - float(np.trace(self.matrix).real))
 
 
 def _trusted_state(rho: np.ndarray) -> TruncatedState:
-    """State from a matrix that is Hermitian and PSD by construction.
-
-    Only the trace is checked; __post_init__ and its eigendecomposition are
-    skipped.
-    """
-    _check_trace(rho)
+    """State, unchecked, from a matrix built from valid states: Hermitian and
+    PSD by construction, its trace's excess over 1 counted in the tail."""
     state = object.__new__(TruncatedState)
     object.__setattr__(state, "matrix", rho)
     return state

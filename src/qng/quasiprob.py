@@ -51,13 +51,13 @@ def _origin_series(p: np.ndarray, sv: float,
                    missing: float | None = None) -> tuple[float, float]:
     """Origin value 2/(pi(1-s)) sum_m x^m p_m of photon numbers p, with
     x = -(1+s)/(1-s), and its truncation tail missing * 2/(pi(1-s)), where
-    missing defaults to 1 - sum p: as |x| <= 1 for s <= 0, a mass moves the
-    value by no more than that wherever it sits, past the last level or
-    (lost before a channel) at low levels: qs_origin_error."""
+    missing defaults to |1 - sum p|: as |x| <= 1 for s <= 0, a mass moves the
+    value by no more than that wherever it sits, past the last level, at low
+    levels (lost before a channel), or as an excess over 1: qs_origin_error."""
     scale = _vacuum_origin(sv)
     value = scale * float((-(1.0 + sv) / (1.0 - sv)) ** np.arange(p.size) @ p)
     if missing is None:
-        missing = max(0.0, 1.0 - float(p.sum()))
+        missing = abs(1.0 - float(p.sum()))
     return value, scale * missing
 
 
@@ -65,8 +65,8 @@ def qs_origin(state: TruncatedState, s) -> float:
     """Quasiprobability at the origin from the photon-number distribution.
 
     Alternating series 2/(pi(1-s)) sum_m (-1)^m ((1+s)/(1-s))^m p_m; the
-    truncation error is at most qs_origin_error(state, s), the mass missing
-    from the trace times 2/(pi(1-s)).
+    truncation error is at most qs_origin_error(state, s), what the trace
+    misses of 1, either way, times 2/(pi(1-s)).
     """
     return _origin_series(photon_probs(state), _coerce_s(s))[0]
 

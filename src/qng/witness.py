@@ -22,16 +22,17 @@ too; for |m> the value is 2/(pi(1-s)) x^m, x = eps - eta (1+s)/(1-s), and
 at full loss every state is the vacuum, 2/(pi(1-s)). n_bar comes from the
 closed moments (StateFamily.moments).
 
-Photon numbers serve only a caller's state (delta_a, delta_b): the origin
-series of quasiprob._origin_series and its truncation tail, 2/(pi(1-s))
-times a missing mass. That mass is 1 - sum p for delta_a and the identity
-map; a map other than the identity mixes in the levels that a d x d matrix
-of trace T left out, so delta_b counts m + 2 sqrt(m T) + |T - sum p'|,
-m = max(1 - T, d 2^-52) (_mapped_photons). Every verdict is _report's,
-delta + tail < 0, where tail is 0 for a closed form, so truncation never
-makes a witness conclusive. A public function checks its inputs once, then
-guards the cutoff, which refuses only what make_<kind>(param, cutoff)
-refuses, from the member's amplitudes alone.
+Photon numbers serve only a caller's state (delta_b, and delta_a, which is
+delta_b under the identity): the origin series of quasiprob._origin_series
+and its truncation tail, 2/(pi(1-s)) times a missing mass. That mass is
+|1 - sum p| under the identity, an excess over 1 too; a map other than the
+identity mixes in the levels that a d x d matrix of trace T left out, so
+delta_b counts m + 2 sqrt(m T) + |T - sum p'|, m = max(1 - T, d 2^-52)
+(_mapped_photons). Every verdict is _report's, delta + tail < 0, where tail
+is 0 for a closed form, so truncation never makes a witness conclusive. A
+public function checks its inputs once, then guards the cutoff, which
+refuses only what make_<kind>(param, cutoff) refuses, from the member's
+amplitudes alone.
 """
 
 from __future__ import annotations
@@ -45,21 +46,27 @@ import numpy as np
 from .bounds import _fminbound, pure_bound
 from .fock import (_PARAM_NAMES, ChannelSpec, GaussianMapSpec, TruncatedState,
                    TruncationError, _check_fits, _family_param, _member_vector,
-                   mapped_photon_probs, photon_probs)
+                   mapped_photon_probs)
 from .quasiprob import _coerce_s, _family_origin, _origin_series, _vacuum_origin
 
 SCAN_POINTS = 200  # loss grid of the threshold scan
 DEFAULT_CUTOFF = 80  # the cutoff a family member is guarded at
+_IDENTITY = GaussianMapSpec()  # the map of criterion a, built once: it is frozen
 
 
 @dataclass(frozen=True)
 class WitnessReport:
+    """Origin value q_value, mean photon number n_bar, hull bound B_s(n_bar),
+    delta = q_value - bound, and conclusive = delta + tail < 0, tail the
+    truncation tail of q_value (0 for a closed form); map is the map the
+    state was evaluated under, GaussianMapSpec() for criterion a and delta_a."""
+
     q_value: float
     n_bar: float
     bound: float
     delta: float
     conclusive: bool
-    map: GaussianMapSpec | None = None
+    map: GaussianMapSpec
 
 
 @dataclass(frozen=True)
@@ -93,11 +100,20 @@ def _guard(family: StateFamily, cutoff: int) -> None:
 
 @dataclass(frozen=True)
 class ThresholdResult:
+    """epsilon_threshold's answer: the largest loss at which the witness
+    stays conclusive, or a sentinel (see epsilon_threshold)."""
+
     epsilon_star: float | str  # value in [0,1] or sentinel "none" / "one"
 
 
+def _map_free(family: StateFamily, criterion: str) -> bool:
+    """Whether the map is the identity at every loss: under criterion a, and
+    for a Fock state, whose criterion-b seed is the identity."""
+    return criterion == "a" or family.kind == "fock"
+
+
 def _report(sv: float, q_value: float, nbar: float, tail: float,
-            gmap: GaussianMapSpec | None = None) -> WitnessReport:
+            gmap: GaussianMapSpec) -> WitnessReport:
     """Witness of an origin value q_value against the hull bound at nbar.
 
     The one verdict rule: conclusive when delta + tail < 0, where tail is
@@ -107,19 +123,6 @@ def _report(sv: float, q_value: float, nbar: float, tail: float,
     delta = q_value - bound
     return WitnessReport(q_value=q_value, n_bar=nbar, bound=bound, delta=delta,
                          conclusive=delta + tail < 0, map=gmap)
-
-
-def _photon_witness(p, s, nbar_slack: float, gmap: GaussianMapSpec | None = None,
-                    missing: float | None = None) -> WitnessReport:
-    """First-criterion witness of the photon numbers p of a caller's state,
-    with the truncation tail of its origin series: missing times the
-    vacuum's value, missing 1 - sum p unless given."""
-    if not (math.isfinite(nbar_slack) and nbar_slack >= 0):
-        raise ValueError(f"nbar_slack must be finite and >= 0, got {nbar_slack}")
-    sv = _coerce_s(s)
-    q_value, tail = _origin_series(p, sv, missing)
-    nbar = float(np.dot(np.arange(p.size), p)) + nbar_slack
-    return _report(sv, q_value, nbar, tail, gmap)
 
 
 def _checked(s, criterion: str) -> float:
@@ -136,13 +139,13 @@ def delta_a(state: TruncatedState, s, nbar_slack: float = 0.0) -> WitnessReport:
     allowance for the mean photon number that the truncated state leaves
     out. The truncation tail counted in the verdict bounds only the origin
     value: a tail mass tau past the cutoff can carry any mean photon number,
-    so only the caller can bound it."""
-    return _photon_witness(photon_probs(state), s, nbar_slack)
+    so only the caller can bound it. It is delta_b under the identity."""
+    return delta_b(state, s, _IDENTITY, nbar_slack)
 
 
 def _mapped_photons(state: TruncatedState, gmap: GaussianMapSpec):
     """Photon numbers p' of the mapped state and the mass their origin series
-    misses (None for 1 - sum p').
+    misses (None for |1 - sum p'|).
 
     A map other than the identity mixes the kept levels with the ones the
     caller's matrix of trace T leaves out. The matrix is one block of any
@@ -151,7 +154,7 @@ def _mapped_photons(state: TruncatedState, gmap: GaussianMapSpec):
     sqrt(T m)), and p' misses |T - sum p'| of the trace (an overshoot too,
     which _map_core accepts up to MAP_TRUNCATION_LIMIT). So the missing mass
     is m + 2 sqrt(m T) + |T - sum p'|, with m at least d 2^-52, the
-    roundoff of a trace of d levels. The identity misses 1 - sum p only."""
+    roundoff of a trace of d levels. The identity misses |1 - sum p| only."""
     p = mapped_photon_probs(state, gmap)
     if gmap.is_identity:
         return p, None
@@ -166,8 +169,13 @@ def delta_b(state: TruncatedState, s, gmap: GaussianMapSpec,
     (nbar_slack as for delta_a). Its tail is 2/(pi(1-s)) times the mass of
     _mapped_photons: under a map other than the identity, m + 2 sqrt(m T) +
     |T - sum p'| for a matrix of trace T, m = max(1 - T, d 2^-52)."""
+    if not (math.isfinite(nbar_slack) and nbar_slack >= 0):
+        raise ValueError(f"nbar_slack must be finite and >= 0, got {nbar_slack}")
+    sv = _coerce_s(s)
     p, missing = _mapped_photons(state, gmap)
-    return _photon_witness(p, s, nbar_slack, gmap, missing)
+    q_value, tail = _origin_series(p, sv, missing)
+    nbar = float(np.dot(np.arange(p.size), p)) + nbar_slack
+    return _report(sv, q_value, nbar, tail, gmap)
 
 
 def beta_opt(alpha: float, epsilon: float) -> complex:
@@ -232,23 +240,21 @@ def refine_map(state: TruncatedState, s, seed: GaussianMapSpec) -> GaussianMapSp
 def _seed_map(family: StateFamily, epsilon: float) -> GaussianMapSpec:
     if family.kind == "pac":
         return GaussianMapSpec(displacement=beta_opt(family.param, epsilon))
-    if family.kind == "pss":
-        return GaussianMapSpec(squeeze=q_opt(family.param, epsilon))
-    return GaussianMapSpec()
+    return GaussianMapSpec(squeeze=q_opt(family.param, epsilon))
 
 
 def _lossy_witness(family: StateFamily, eps, sv: float, moments,
-                   gmap: GaussianMapSpec | None = None) -> WitnessReport:
+                   gmap: GaussianMapSpec) -> WitnessReport:
     """Witness of a family member, with closed moments, after checked loss
-    eps and the map gmap (None for no map), by the identity of the module
-    docstring. With no map or the identity eps may be an array of losses;
-    under any other map it is a float and the member is PAC or PSS. The
-    identity on one loss short of full loss is the map formula at beta = q = 0
-    for PAC and PSS, which gives the same bits."""
+    eps and the map gmap, by the identity of the module docstring. Under the
+    identity eps may be an array of losses; under any other map it is a
+    float and the member is PAC or PSS. The identity on one loss short of
+    full loss is the map formula at beta = q = 0 for PAC and PSS, which
+    gives the same bits."""
     eta = 1.0 - eps
     n0, a1, a2 = moments
-    identity = gmap is None or gmap.is_identity  # sigma+ = sigma-, U' = 1
-    if identity and (family.kind == "fock" or np.ndim(eps) or eta == 0.0):
+    # the identity has sigma+ = sigma- and U' = 1
+    if gmap.is_identity and (family.kind == "fock" or np.ndim(eps) or eta == 0.0):
         scale = _vacuum_origin(sv)
         if family.kind == "fock":  # Q_s2(0)[|m>] / eta = scale x^m
             q_value = scale * (eps - eta * (1.0 + sv) / (1.0 - sv)) ** family.param
@@ -261,8 +267,7 @@ def _lossy_witness(family: StateFamily, eps, sv: float, moments,
         else:  # full loss leaves the vacuum
             q_value = scale
         return _report(sv, q_value, eta * n0, 0.0, gmap)
-    beta, q = (0j, 0.0) if identity else (complex(gmap.displacement),
-                                           float(gmap.squeeze))
+    beta, q = complex(gmap.displacement), float(gmap.squeeze)
     if eps == 0.0:  # no loss: U' = U (at s = 0 sigma+- would be 0/0)
         s2, q2 = sv, -q
     else:
@@ -283,13 +288,13 @@ def _lossy_witness(family: StateFamily, eps, sv: float, moments,
 def _witness(family: StateFamily, sv: float, eps, criterion: str) -> WitnessReport:
     """Witness of a family member after loss eps, all inputs checked. With a
     seed map to refine, the witness is cached per map, so the refined map's
-    report is reused; criterion a also takes an array of losses."""
+    report is reused; under the identity eps may be an array of losses."""
     witness = partial(_lossy_witness, family, eps, sv, family.moments())
-    seed = _seed_map(family, eps) if criterion == "b" else None
-    if seed is not None and not seed.is_identity:
+    gmap = _IDENTITY if _map_free(family, criterion) else _seed_map(family, eps)
+    if not gmap.is_identity:
         witness = cache(witness)
-        seed = _refine(witness, seed)
-    return witness(seed)
+        gmap = _refine(witness, gmap)
+    return witness(gmap)
 
 
 def witness_at_loss(family: StateFamily, s, epsilon: float, criterion: str,
@@ -308,18 +313,17 @@ def witness_curve(family: StateFamily, s_values, eps_values, criterion: str,
     """Deltas of witness_at_loss at every (eps_values[i], s_values[j]), as an
     array indexed [i, j], with the inputs checked and the cutoff guarded once.
 
-    As in epsilon_threshold, the loss grid is one array per s under
-    criterion a and for a Fock state; otherwise criterion b refines a map
-    at each point."""
+    As in epsilon_threshold, the loss grid is one array per s under the
+    identity (_map_free), and otherwise a map is refined at each point."""
     s_checked = [_checked(s, criterion) for s in s_values]
     eps = [float(ChannelSpec(e).epsilon) for e in eps_values]
     _guard(family, cutoff)
     deltas = np.empty((len(eps), len(s_checked)))
     for j, sv in enumerate(s_checked):
-        if criterion == "a" or family.kind == "fock":
-            deltas[:, j] = _witness(family, sv, np.array(eps), "a").delta
+        if _map_free(family, criterion):
+            deltas[:, j] = _witness(family, sv, np.array(eps), criterion).delta
         else:
-            deltas[:, j] = [_witness(family, sv, e, "b").delta for e in eps]
+            deltas[:, j] = [_witness(family, sv, e, criterion).delta for e in eps]
     return deltas
 
 
@@ -335,9 +339,8 @@ def epsilon_threshold(family: StateFamily, s, criterion: str = "a",
     a positive parity at zero loss), so the scan walks down from high loss
     and bisects the topmost sign change. A Fock state's origin value is 0 at
     eps0 (x = 0), and from |10> on its window around eps0 can fall between
-    two grid points, so eps0 is scanned too. Under criterion a, and
-    criterion b of a Fock state (whose seed map is the identity), the scan
-    is one array evaluation.
+    two grid points, so eps0 is scanned too. Under the identity (_map_free)
+    the scan is one array evaluation.
     """
     sv = _checked(s, criterion)
     # above 0.5 the grid tol..1-tol would run from high loss to low loss
@@ -348,12 +351,11 @@ def epsilon_threshold(family: StateFamily, s, criterion: str = "a",
     eps0 = (1.0 + sv) / 2.0
     if family.kind == "fock" and tol < eps0 < 1.0 - tol:
         grid = np.sort(np.append(grid, eps0))
-    batch = criterion == "a" or family.kind == "fock"  # a Fock seed is the identity
-    scan_criterion = "a" if batch else criterion
 
     def holds(eps):
-        return _witness(family, sv, eps, scan_criterion).conclusive
+        return _witness(family, sv, eps, criterion).conclusive
 
+    batch = _map_free(family, criterion)
     # conclusive or not at each scan point, from the top down
     conclusive = iter(holds(grid[::-1])) if batch else map(holds, grid[::-1])
     star: float | str = "one"

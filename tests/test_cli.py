@@ -1,7 +1,10 @@
 import argparse
 import hashlib
 import inspect
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -591,3 +594,24 @@ def test_negative_number_matcher_is_argparse_attribute():
         argparse.ArgumentParser)
     sub = build_parser()._subparsers._group_actions[0].choices["threshold"]
     assert sub._negative_number_matcher.pattern == r"-\.?\d"
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["--family", "fock", "--m", "1", "--s", "0"], 0),
+    (["--family", "fock", "--m", "1", "--s", "1"], 2),
+    (["--family", "pss", "--r", "400", "--s", "-1"], 3)],
+    ids=["ok", "usage", "numerical"])
+def test_module_run_exits_with_the_code_of_main(argv, code):
+    # python -m qng.cli hands main's return value to the process exit code
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "qng.cli", "threshold", *argv],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == code
+    if code == 0:
+        assert proc.stderr == ""
+        assert proc.stdout.startswith("family_param,s,criterion,epsilon_star\n")
+    else:
+        assert proc.stdout == ""
+        assert proc.stderr.count("\n") == 1

@@ -301,6 +301,21 @@ FAMILY_STATES = {
 }
 
 
+@pytest.mark.parametrize("build", [
+    lambda: apply_map(make_pss(1.0, 150), GaussianMapSpec(squeeze=-0.6)),
+    lambda: apply_map(make_pss(1.0, 150),
+                      GaussianMapSpec(displacement=2.0, squeeze=-1.6)),
+    lambda: apply_loss(TruncatedState(np.diag(np.full(51, (1 + 1e-10) / 51))),
+                       ChannelSpec(0.1))], ids=["squeeze", "both", "loss"])
+def test_built_state_over_one_is_kept(build):
+    # a map's overshoot and roundoff after loss take the trace just over
+    # 1 + TRACE_TOL; the state was refused with "trace ... exceeds 1"
+    st = build()
+    excess = float(np.trace(st.matrix).real) - 1.0
+    assert 0.0 < excess <= MAP_TRUNCATION_LIMIT
+    assert st.tail_bound == excess
+
+
 class TestLossWeightsInOneArray:
     @pytest.mark.parametrize("kind", sorted(FAMILY_STATES))
     @pytest.mark.parametrize("eps", [1e-12, 0.3, 0.999, 1.0])

@@ -230,7 +230,7 @@ class TestFamilyClosedForm:
 
     @pytest.mark.parametrize("kind", ["pac", "pss"])
     def test_identity_is_the_map_formula_at_zero(self, kind):
-        # one loss below 1, no map or the identity: the map formula at
+        # one loss below 1 under the identity: the map formula at
         # beta = q = 0 gives the bits of the identity's own closed form,
         # Q_s2(0)[psi] / eta at s2 = -(eps - s) / eta, and n_bar = eta n0
         rng = np.random.default_rng(23)
@@ -242,10 +242,9 @@ class TestFamilyClosedForm:
             closed = family.moments()
             eta = 1.0 - eps
             q_value = _family_origin(kind, param, 0j, 0.0, -(eps - s) / eta) / eta
-            for gmap in (None, GaussianMapSpec()):
-                rep = _lossy_witness(family, eps, s, closed, gmap)
-                assert (rep.q_value, rep.n_bar, rep.map) == (
-                    q_value, eta * closed[0], gmap)
+            rep = _lossy_witness(family, eps, s, closed, GaussianMapSpec())
+            assert (rep.q_value, rep.n_bar, rep.map) == (
+                q_value, eta * closed[0], GaussianMapSpec())
 
     @pytest.mark.parametrize("criterion", ["a", "b"])
     def test_family_witnesses_read_no_photon_numbers(self, monkeypatch,
@@ -253,7 +252,7 @@ class TestFamilyClosedForm:
         def refused(*args, **kwargs):
             raise AssertionError("a family witness read photon numbers")
 
-        for name in ("_origin_series", "photon_probs", "mapped_photon_probs"):
+        for name in ("_origin_series", "mapped_photon_probs"):
             monkeypatch.setattr(qng.witness, name, refused)
         for family in (StateFamily("fock", 0), StateFamily("fock", 3),
                        StateFamily("pac", 0.0), StateFamily("pac", 2.0),
@@ -400,6 +399,36 @@ class TestDeltaB:
         a = delta_a(st, -1)
         b = delta_b(st, -1, GaussianMapSpec())
         assert b.delta == a.delta
+
+    @pytest.mark.parametrize("state", [
+        apply_loss(make_pss(0.5, 60), ChannelSpec(0.3)),
+        apply_loss(make_coherent(0.8 + 0.6j, 40), ChannelSpec(0.2))],
+        ids=["real", "complex"])
+    @pytest.mark.parametrize("nbar_slack", [0.0, 0.25])
+    @pytest.mark.parametrize("s", [0, -1, -2.5])
+    def test_delta_a_is_delta_b_at_the_identity(self, state, nbar_slack, s):
+        # whole reports, map included: criterion a is criterion b under the
+        # identity
+        a = delta_a(state, s, nbar_slack)
+        assert a == delta_b(state, s, GaussianMapSpec(), nbar_slack)
+        assert a.map == GaussianMapSpec()
+
+    @pytest.mark.parametrize("gmap", [
+        GaussianMapSpec(squeeze=-0.6),
+        GaussianMapSpec(displacement=2.0, squeeze=-1.6)])
+    @pytest.mark.parametrize("s", [0, -1, -2])
+    def test_trace_excess_of_a_mapped_state_is_in_the_tail(self, gmap, s):
+        # apply_map's recurrence overshoots the trace by under
+        # MAP_TRUNCATION_LIMIT; the built state is kept, and delta_a counts
+        # the excess as it counts a deficit
+        mapped = apply_map(make_pss(1.0, 150), gmap)
+        excess = float(np.trace(mapped.matrix).real) - 1.0
+        assert excess > 0.0
+        rep, tail = delta_a(mapped, s), qs_origin_error(mapped, s)
+        assert tail >= excess * 2.0 / (np.pi * (1.0 - s)) * (1.0 - 1e-12)
+        assert rep.conclusive == (rep.delta + tail < 0)
+        # the same verdict as the map in delta_b on the unmapped state
+        assert rep.conclusive == delta_b(make_pss(1.0, 150), s, gmap).conclusive
 
     def test_lossy_pac_with_displacement_conclusive(self):
         st = apply_loss(make_pac(2.0, 80), ChannelSpec(0.6))
