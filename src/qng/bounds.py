@@ -11,28 +11,29 @@ x and its stationary points are the roots of the quartic
 P(0) = s <= 0 < P(1) = 4n(1-s) and P(2n+1) = s (4n(n+1))^2 <= 0, and by
 Descartes' rule P has at most two positive roots, so exactly one root lies in
 (1, 2n+1]: the minimum. pure_bound finds it by Newton's method from 2n+1, for
-a float or an array of n. At s = 0 the root is 2n+1 (wigner_bound_closed); at
-s = -1 it is the root of the cubic behind m_minus1_closed. At n = 0 the hull
-holds only the vacuum, and every bound here is its origin value 2/(pi(1-s))
-(bound_at_zero), through the quasiprob._vacuum_origin of every
-photon-number series, so the vacuum's witness is exactly 0. Each public
-function checks its own s and n where they enter; n runs up to N_MAX = 1e70.
+a float or an array of n. At s = 0 the root is 2n+1; at s = -1 it is the
+root of a cubic. At n = 0 the hull holds only the vacuum, and every bound
+here is its origin value 2/(pi(1-s)) (bound_at_zero), through the
+quasiprob._vacuum_origin of every photon-number series, so the vacuum's
+witness is exactly 0. Each public function checks its own s and n where they
+enter; n runs up to N_MAX = 1e70.
 
 build_bound_curve (the (n, bound, m_opt) rows of `qng bound-curve`) and the
 error bars of qng.error_model still tabulate the bounded minimization of the
 objective (_minimized_bound, on the n and s its callers have checked), whose
 m_opt is off by up to about 5e-7: their recorded outputs carry it. Where the
 bound is below the smallest normal float, the objective has underflowed and
-cannot steer the search, so pure_bound gives the row. Rank-2 mixtures are
-searched separately to confirm they cannot undercut the pure-state bound at
-working precision.
+cannot steer the search, so pure_bound gives the row.
+
+The checks of the paper's claims about the bound (its closed forms at s = 0
+and -1, rank-2 mixtures that cannot undercut it, its convexity and strict
+decrease) are in tests/oracles.py.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,13 +56,6 @@ def bound_at_zero(s) -> float:
     only quasiprob._vacuum_origin rounds the way the vacuum's series does,
     so the vacuum's delta is exactly 0."""
     return _vacuum_origin(_coerce_s(s))
-
-
-def wigner_bound_closed(n: float) -> float:
-    """Closed-form Wigner (s = 0) hull bound: (2/pi) exp(-2n(1+n))."""
-    if not 0 <= n < math.inf:  # NaN fails this too
-        raise ValueError("n must be finite and >= 0")
-    return 2.0 / np.pi * np.exp(-2.0 * n * (1.0 + n))
 
 
 def bound_objective(m: float, n: float, s: float) -> float:
@@ -210,87 +204,6 @@ def _minimized_bound(n: float, sv: float) -> tuple[float, float]:
     return best
 
 
-def m_minus1_closed(n: float) -> float:
-    """Closed-form optimal squeezing fraction for the Husimi (s = -1) bound.
-
-    At s = -1, P(x) = -(x + 1)(x^3 + x^2 - (4n+3) x + 1), and in y = x - 1
-    the cubic is y^3 + 4y^2 - (4n-2) y - 4n: one root in [0, 2n] and two
-    below -1/2, all three from the trigonometric form. Below y = 1 (n = 7/8)
-    the wanted root is 4n over the product of the other two (Vieta), with
-    nothing to cancel at small n; from there on it is the form's own largest
-    root, since the root near -1 loses about 2 sqrt(n) ulps as n grows. One
-    Newton step polishes it. m = y^2 / (4(1+y)), clamped to [0, n].
-    """
-    if not 0 <= n <= N_MAX:  # NaN fails this too
-        raise ValueError(f"{_N_RANGE}, got {n}")
-    p, q = -(4.0 * n + 10.0 / 3.0), 56.0 / 27.0 + 4.0 * n / 3.0  # of z = y + 4/3
-    r = 2.0 * math.sqrt(-p / 3.0)
-    phi = math.acos(max(-1.0, min(1.0, 3.0 * q / (p * r)))) / 3.0
-    y1, y2, y3 = (r * math.cos(phi + k * 2.0 * math.pi / 3.0) - 4.0 / 3.0
-                  for k in (0, 1, -1))
-    y = y1 if y1 >= 1.0 else 4.0 * n / (y2 * y3)
-    y -= ((((y + 4.0) * y - (4.0 * n - 2.0)) * y - 4.0 * n)
-          / ((3.0 * y + 8.0) * y - (4.0 * n - 2.0)))
-    return float(min(max(y * y / (4.0 * (1.0 + y)), 0.0), n))
-
-
-@dataclass(frozen=True)
-class Rank2Candidate:
-    """Best two-component Gaussian mixture found for a bound query."""
-
-    n1: float
-    n2: float
-    p: float
-    value: float
-
-
-RANK2_POINTS = 60  # grid points per axis
-RANK2_REFINE_ROUNDS = 3
-
-
-def rank2_search(n: float, s) -> Rank2Candidate:
-    """Search rank-2 mixtures p B(n1) + (1-p) B(n2) with p n1 + (1-p) n2 = n.
-
-    n1 runs over [0, n] linearly, n2 over [n, 50n + 10] with logarithmic
-    spacing above n; the best cell is refined locally. The degenerate
-    candidate (n, n, p = 1) is always included.
-    """
-    sv = _coerce_s(s)
-    if not 0 <= n <= N_MAX / 100:  # n2 runs past 50 n; NaN fails this too
-        raise ValueError(f"n must be finite and >= 0, at most N_MAX / 100, got {n}")
-    b_n = pure_bound(n, sv)[0]
-    best = Rank2Candidate(n1=n, n2=n, p=1.0, value=b_n)
-    if n == 0:
-        return best
-
-    lo1, hi1 = 0.0, n
-    lo2, hi2 = n, 50.0 * n + 10.0
-    for round_idx in range(RANK2_REFINE_ROUNDS + 1):
-        n1g = np.linspace(lo1, hi1, RANK2_POINTS)
-        span = hi2 - lo2
-        if round_idx == 0:
-            n2g = lo2 + np.geomspace(1e-6 * span, span, RANK2_POINTS)
-        else:
-            n2g = np.linspace(lo2, hi2, RANK2_POINTS)
-        b1, b2 = pure_bound(n1g, sv)[0], pure_bound(n2g, sv)[0]
-        diff = n2g[None, :] - n1g[:, None]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            p = np.where(diff > 0, (n2g[None, :] - n) / diff, np.nan)
-        vals = p * b1[:, None] + (1.0 - p) * b2[None, :]
-        vals = np.where((p >= 0) & (p <= 1), vals, np.inf)
-        i, j = np.unravel_index(np.nanargmin(vals), vals.shape)
-        if vals[i, j] < best.value:
-            best = Rank2Candidate(n1=float(n1g[i]), n2=float(n2g[j]),
-                                  p=float(p[i, j]), value=float(vals[i, j]))
-        # shrink both ranges around the current best cell
-        w1, w2 = (hi1 - lo1) / RANK2_POINTS, (hi2 - lo2) / RANK2_POINTS
-        lo1 = max(0.0, n1g[i] - 2 * w1)
-        hi1 = min(n, n1g[i] + 2 * w1)
-        lo2 = max(n, n2g[j] - 2 * w2)
-        hi2 = n2g[j] + 2 * w2
-    return best
-
-
 MAX_GRID_POINTS = 1_000_000  # longest grid a bound table or a CLI range may hold
 
 
@@ -312,39 +225,3 @@ def build_bound_curve(s, n_max: float, step: float) -> list[tuple]:
     sv = _coerce_s(s)
     return [(n, *_minimized_bound(n, sv)) for n in _grid(n_max, step).tolist()]
 
-
-@dataclass(frozen=True)
-class ConvexityReport:
-    """Result of convexity_check on a grid of B_s(n): passed when convex within
-    tol and strictly_decreasing (above the underflow floor); first_violation,
-    the grid points around the most negative second difference if it is below
-    -tol; max_second_difference_deficit, how far that difference is below 0."""
-
-    passed: bool
-    first_violation: tuple[float, float, float] | None
-    max_second_difference_deficit: float
-    strictly_decreasing: bool
-
-
-def convexity_check(s, n_max: float, step: float,
-                    tol: float = 1e-10) -> ConvexityReport:
-    """Check convexity (second differences) and strict decrease on a grid."""
-    sv = _coerce_s(s)
-    if not tol >= 0:  # NaN fails this too
-        raise ValueError(f"tol must be >= 0, got {tol}")
-    grid = _grid(n_max, step)
-    b = pure_bound(grid, sv)[0]
-    second = b[:-2] - 2.0 * b[1:-1] + b[2:]
-    deficit = float(-second.min()) if second.size else 0.0
-    # strict decrease is only meaningful above the underflow floor: at s = 0
-    # the bound reaches exp(-2n(1+n)) and becomes exactly 0.0 near n = 19
-    representable = b[:-1] > 1e-300
-    decreasing = bool(np.all((np.diff(b) < 0) | ~representable))
-    violation = None
-    if second.size and second.min() < -tol:
-        i = int(np.argmin(second))
-        violation = (float(grid[i]), float(grid[i + 1]), float(grid[i + 2]))
-    passed = violation is None and decreasing
-    return ConvexityReport(passed=passed, first_violation=violation,
-                           max_second_difference_deficit=max(0.0, deficit),
-                           strictly_decreasing=decreasing)

@@ -122,12 +122,3 @@ def _family_origin(kind: str, param: float, beta: complex, q: float, s):
     return gauss * (abs(a) ** 2 + 2.0 * b * (a.conjugate() * h).real
                     + b * b * x * (1.0 + x_df)) / norm ** 2
 
-
-def qs_pure_gaussian(n: float, m: float, s, theta: float = 0.0,
-                     phi: float = 0.0) -> float:
-    """Origin quasiprobability of the pure Gaussian state with mean photon
-    number n, of which m = sinh^2(r) is the squeezed share (so n - m =
-    |alpha|^2), displacement phase theta and squeezing phase phi."""
-    if n < 0 or not 0 <= m <= n:  # NaN fails this too
-        raise ValueError(f"need 0 <= m <= n, got m={m}, n={n}")
-    return float(_pure_gaussian_origin(n, m, _coerce_s(s), np.cos(2.0 * theta - phi)))

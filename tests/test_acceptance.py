@@ -11,13 +11,14 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from qng.bounds import (bound_at_zero, convexity_check, m_minus1_closed,
-                        pure_bound, rank2_search, wigner_bound_closed)
+from oracles import (convexity_check, grid_argmin, m_minus1_closed,
+                     qs_pure_gaussian, rank2_search, wigner_bound_closed)
+from qng.bounds import bound_at_zero, pure_bound
 from qng.error_model import normalized_bound_stats
 from qng.fock import (ChannelSpec, GaussianMapSpec, apply_loss, apply_map,
                       make_displaced_squeezed, make_fock, make_pss, mix,
                       moments)
-from qng.quasiprob import qs_fock, qs_origin, qs_pure_gaussian
+from qng.quasiprob import qs_fock, qs_origin
 from qng.witness import StateFamily, delta_a, epsilon_threshold, q_opt, \
     witness_at_loss
 
@@ -51,12 +52,7 @@ def test_criterion_03_husimi_argmin_closed_form():
     t0 = time.perf_counter()
     ok = True
     for n in [0.1, 0.5, 1.0, 2.0, 5.0, 10.0]:
-        from qng.bounds import bound_objective
-        m = np.arange(0.0, n + 5e-5, 1e-4)
-        best = m[np.argmin(bound_objective(m, n, -1.0))]
-        lo, hi = max(0.0, best - 2e-4), min(n, best + 2e-4)
-        m = np.arange(lo, hi + 5e-9, 1e-8)
-        best = float(m[np.argmin(bound_objective(m, n, -1.0))])
+        best, _ = grid_argmin(n, -1.0)
         ok = ok and abs(m_minus1_closed(n) - best) < 1e-6
     ok = ok and (time.perf_counter() - t0) < 10.0
     verdict(3, "cubic-root squeezing fraction at s=-1", ok)

@@ -6,25 +6,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 import qng.bounds
+from oracles import (convexity_check, grid_argmin, m_minus1_closed,
+                     qs_pure_gaussian, rank2_search, wigner_bound_closed)
 from qng.bounds import (N_MAX, _fminbound, _minimized_bound, bound_at_zero,
-                        bound_objective, build_bound_curve, convexity_check,
-                        m_minus1_closed, pure_bound, rank2_search,
-                        wigner_bound_closed)
-from qng.quasiprob import S_MIN, _origin_series, qs_pure_gaussian
+                        bound_objective, build_bound_curve, pure_bound)
+from qng.quasiprob import S_MIN, _origin_series
 from qng.witness import StateFamily, witness_at_loss
 
 S_VALUES = [-0.25, -0.5, -1.0, -2.0, -3.0]
-
-
-def grid_argmin(n, s, coarse=1e-4, fine=1e-8):
-    """Brute-force argmin over the squeezing fraction, two-stage grid."""
-    m = np.arange(0.0, n + coarse / 2, coarse)
-    vals = bound_objective(m, n, s)
-    best = m[np.argmin(vals)]
-    lo, hi = max(0.0, best - 2 * coarse), min(n, best + 2 * coarse)
-    m = np.arange(lo, hi + fine / 2, fine)
-    vals = bound_objective(m, n, s)
-    return float(m[np.argmin(vals)]), float(vals.min())
 
 
 def test_bound_at_zero_closed_forms():
@@ -230,6 +219,24 @@ def test_convexity_check_reports_a_violation(monkeypatch):
     assert report.max_second_difference_deficit == pytest.approx(
         -(b[1] - 2 * b[2] + b[3]))
     assert not report.strictly_decreasing  # the bump rises from n = 1 to 2
+
+
+def _two_bumps(n, s):
+    """exp(-n) with a small bump at n = 2 and a larger one at n = 5."""
+    n = np.asarray(n, dtype=float)
+    return (np.exp(-n) + 0.1 * np.exp(-100.0 * (n - 2.0) ** 2)
+            + 0.5 * np.exp(-100.0 * (n - 5.0) ** 2)), np.zeros_like(n)
+
+
+def test_convexity_check_reports_the_first_violation(monkeypatch):
+    # the most negative second difference is around n = 5; first_violation
+    # used to report it instead of the first one, around n = 2
+    monkeypatch.setattr(qng.bounds, "pure_bound", _two_bumps)
+    report = convexity_check(-1, 7, 1)  # bound values at n = 0, 1, ..., 7
+    assert report.first_violation == (1.0, 2.0, 3.0)
+    b = _two_bumps(np.arange(8.0), -1)[0]
+    assert report.max_second_difference_deficit == pytest.approx(
+        -(b[4] - 2 * b[5] + b[6]))
 
 
 class TestConvexity:

@@ -18,3 +18,17 @@ def test_every_public_class_and_function_has_a_docstring():
             if not ast.get_docstring(node):
                 missing.append(name)
     assert missing == []
+
+
+def test_public_surface():
+    # an addition to or a removal from the API edits this list on purpose
+    assert sorted(qng.__all__) == [
+        "ChannelSpec", "GaussianMapSpec", "StateFamily", "ThresholdResult",
+        "TruncatedState", "TruncationError", "WitnessReport", "apply_loss",
+        "apply_map", "beta_opt", "bound_at_zero", "bounds", "build_bound_curve",
+        "delta_a", "delta_b", "epsilon_threshold", "error_model", "fock",
+        "make_coherent", "make_displaced_squeezed", "make_fock", "make_pac",
+        "make_pss", "make_squeezed", "mapped_photon_probs", "mix", "moments",
+        "normalized_bound_stats", "photon_probs", "pure_bound", "q_opt",
+        "qs_fock", "qs_origin", "qs_origin_error", "quasiprob", "refine_map",
+        "witness", "witness_at_loss", "witness_curve"]

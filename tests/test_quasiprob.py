@@ -7,9 +7,9 @@ import qng.witness
 from qng.fock import (ChannelSpec, GaussianMapSpec, TruncatedState, apply_loss,
                       apply_map, make_coherent, make_displaced_squeezed,
                       make_fock, make_pac, make_pss, mix, photon_probs)
+from oracles import qs_pure_gaussian
 from qng.bounds import pure_bound
-from qng.quasiprob import (S_MIN, qs_fock, qs_origin, qs_origin_error,
-                           qs_pure_gaussian)
+from qng.quasiprob import S_MIN, qs_fock, qs_origin, qs_origin_error
 from qng.witness import StateFamily, delta_a, delta_b, witness_at_loss
 
 S_VALUES = [0.0, -0.25, -0.5, -1.0, -2.0, -3.0]
